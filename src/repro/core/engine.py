@@ -29,7 +29,7 @@ Three cooperating pieces:
   transforms kernels at most once per distinct kernel array, and
   executes through a fused fast path whose stage-1/stage-3 transforms
   are single Kronecker-product GEMMs writing into arena views.  The
-  blocked Table-1 executor is available via ``blocked=True``, with
+  blocked Table-1 executor is available via ``backend="blocked"``, with
   stage 2 in either the vectorized ``"fast"`` mode or the JIT-kernel
   ``"traced"`` mode (the mode the machine simulator instruments).
 
@@ -76,7 +76,6 @@ from repro.core.parallel_process import (
 from repro.core.nested import NestedWinogradExecutor
 from repro.core.portfolio import (
     ALGORITHMS,
-    ENGINE_EXECUTED,
     AlgorithmChoice,
     PortfolioPlanner,
     make_baseline,
@@ -270,25 +269,55 @@ class CacheStats:
         }
 
 
-class PlanEntry:
-    """One cached plan plus everything derived from it.
+def _prepared_nbytes(prepared) -> int:
+    if isinstance(prepared, TransformedKernels):
+        prepared = prepared.data
+    return getattr(prepared, "nbytes", 0)
+
+
+class _CacheEntry:
+    """What every plan-cache entry has: its key, a lock, and the
+    kernel-side precomputation seen so far, keyed by kernel fingerprint
+    (filled by :meth:`PlanCache.prepared_kernels`)."""
+
+    def __init__(self, key: PlanKey):
+        self.key = key
+        self.prepared: dict[str, object] = {}
+        self.lock = threading.Lock()
+
+    def prepare_kernels(self, kernels: np.ndarray):
+        raise NotImplementedError
+
+    def release(self) -> None:
+        """Tear down pooled resources; nothing to do by default."""
+
+    def nbytes(self) -> int:
+        return sum(_prepared_nbytes(p) for p in self.prepared.values())
+
+
+class PlanEntry(_CacheEntry):
+    """One cached Winograd plan plus everything derived from it.
 
     Holds the :class:`WinogradPlan`, the fused fast-path constants (the
     Kronecker transform matrices), the lazily built blocked executor
     (whose construction generates the transform codelets), and the
-    kernel transforms seen so far, keyed by kernel fingerprint.
+    kernel transforms seen so far -- ``(T, C, C')``, or packed ``V``
+    for the blocked backend.
     """
 
     def __init__(self, key: PlanKey, plan: WinogradPlan):
-        self.key = key
+        super().__init__(key)
         self.plan = plan
         self.fast = _FusedPlan(plan)
         self._executor: BlockedWinogradExecutor | None = None
         self._parallel: ParallelWinogradExecutor | ProcessWinogradExecutor | None = None
         self._compiled: CompiledWinogradExecutor | None = None
-        self.kernels: dict[str, TransformedKernels] = {}
-        self.packed_kernels: dict[str, np.ndarray] = {}
-        self.lock = threading.Lock()
+
+    def prepare_kernels(self, kernels: np.ndarray):
+        if self.key.backend == "blocked":
+            execu = self.executor
+            return execu.transform_kernels_packed(execu.kernel_layout.pack(kernels))
+        return self.plan.transform_kernels(kernels)
 
     @property
     def executor(self) -> BlockedWinogradExecutor:
@@ -392,36 +421,27 @@ class PlanEntry:
             ex.shutdown()
 
     def nbytes(self) -> int:
-        n = self.fast.const_bytes
-        n += sum(w.data.nbytes for w in self.kernels.values())
-        n += sum(v.nbytes for v in self.packed_kernels.values())
+        n = self.fast.const_bytes + super().nbytes()
         if self._compiled is not None:
             n += self._compiled.workspace_nbytes
         return n
 
 
-class BaselinePlanEntry:
-    """Cached state for a non-Winograd portfolio algorithm.
-
-    The analog of :class:`PlanEntry` for the FFT / direct / im2col
-    paths: holds the executable implementation, the layer signature, and
-    the memoized kernel-side precomputation (FFT spectra, im2col GEMM
-    operands) keyed by kernel fingerprint -- the same "FX" amortization
-    the Winograd path gets from its kernel transforms.
+class BaselinePlanEntry(_CacheEntry):
+    """Cached state for a non-Winograd portfolio algorithm (FFT / direct
+    / im2col) or the nested decomposition: the implementation and its
+    layer signature, whose memoized kernel-side precomputation (FFT
+    spectra, im2col GEMM operands, stacked nested kernels) is the same
+    "FX" amortization the Winograd path gets from its kernel transforms.
     """
 
     def __init__(self, key: PlanKey, impl, layer: ConvLayerSpec):
-        self.key = key
+        super().__init__(key)
         self.impl = impl
         self.layer = layer
-        self.prepared: dict[str, object] = {}
-        self.lock = threading.Lock()
 
-    def release(self) -> None:
-        """Nothing pooled to tear down; kept for cache symmetry."""
-
-    def nbytes(self) -> int:
-        return sum(getattr(p, "nbytes", 0) for p in self.prepared.values())
+    def prepare_kernels(self, kernels: np.ndarray):
+        return self.impl.prepare_kernels(kernels, self.layer)
 
 
 class PlanCache:
@@ -520,50 +540,13 @@ class PlanCache:
             self._evict()
             return entry
 
-    def kernel_transform(self, entry: PlanEntry, kernels: np.ndarray) -> TransformedKernels:
-        """Memoized ``(T, C, C')`` kernel transform for ``kernels``."""
-        fp = kernel_fingerprint(kernels)
-        with self._lock:
-            w = entry.kernels.get(fp)
-            if w is not None:
-                self.stats.kernel_hits += 1
-                self._bump("kernel_hits")
-                return w
-        w = entry.plan.transform_kernels(kernels)
-        with self._lock:
-            w = entry.kernels.setdefault(fp, w)
-            self.stats.kernel_misses += 1
-            self._bump("kernel_misses")
-            self._recount()
-            self._evict()
-        return w
+    def prepared_kernels(self, entry: _CacheEntry, kernels: np.ndarray):
+        """Memoized kernel-side precomputation of ``entry`` for ``kernels``.
 
-    def packed_kernel_transform(self, entry: PlanEntry, kernels: np.ndarray) -> np.ndarray:
-        """Memoized packed-V transform for the blocked executor."""
-        fp = kernel_fingerprint(kernels)
-        with self._lock:
-            v = entry.packed_kernels.get(fp)
-            if v is not None:
-                self.stats.kernel_hits += 1
-                self._bump("kernel_hits")
-                return v
-        execu = entry.executor
-        v = execu.transform_kernels_packed(execu.kernel_layout.pack(kernels))
-        with self._lock:
-            v = entry.packed_kernels.setdefault(fp, v)
-            self.stats.kernel_misses += 1
-            self._bump("kernel_misses")
-            self._recount()
-            self._evict()
-        return v
-
-    def baseline_prepared(self, entry: BaselinePlanEntry, kernels: np.ndarray):
-        """Memoized kernel-side precomputation for a baseline plan.
-
-        FFT spectra and im2col GEMM operands are to their algorithms
-        what the transformed-kernel tensor is to Winograd; memoizing
-        them by fingerprint gives every portfolio member the same warm
-        serving path (and the same ``kernel_hits`` accounting).
+        One memo for every entry kind, keyed by kernel fingerprint: the
+        Winograd kernel transform, FFT spectra, im2col GEMM operands and
+        stacked nested kernels all take the same warm path and the same
+        ``kernel_hits``/``kernel_misses`` accounting.
         """
         fp = kernel_fingerprint(kernels)
         with self._lock:
@@ -572,7 +555,7 @@ class PlanCache:
                 self.stats.kernel_hits += 1
                 self._bump("kernel_hits")
                 return p
-        p = entry.impl.prepare_kernels(kernels, entry.layer)
+        p = entry.prepare_kernels(kernels)
         with self._lock:
             p = entry.prepared.setdefault(fp, p)
             self.stats.kernel_misses += 1
@@ -1011,10 +994,8 @@ class ConvolutionEngine:
         measured probes of the top candidates (plus Winograd), and the
         soft wall-clock budget for one decision's probes.  Probes run
         on the first request for a new shape -- an explicit, bounded
-        warm-up cost amortized over every later request.
-    probe_backend:
-        Backend the Winograd-family probes (``winograd``/``nested``)
-        run under; defaults to the engine's own ``backend``, so e.g. a
+        warm-up cost amortized over every later request.  Winograd-
+        family probes run under the engine's own ``backend``, so a
         process-backend engine's probes measure the process executor,
         not the fused one.
     n_workers:
@@ -1060,7 +1041,6 @@ class ConvolutionEngine:
         algorithm: str = "winograd",
         portfolio_probe: bool = True,
         probe_budget_seconds: float = 0.5,
-        probe_backend: str | None = None,
         n_workers: int | None = None,
         worker_timeout: float = 60.0,
         tracer: Tracer | None = None,
@@ -1081,10 +1061,6 @@ class ConvolutionEngine:
             )
         if n_workers is not None and n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if probe_backend is not None and probe_backend not in BACKENDS:
-            raise ValueError(
-                f"probe_backend must be one of {BACKENDS}, got {probe_backend!r}"
-            )
         if machine is None:
             from repro.machine.profiles import DEFAULT_PROFILE, get_profile
 
@@ -1094,10 +1070,6 @@ class ConvolutionEngine:
         self.backend = backend
         self.algorithm = algorithm
         self.profile = profile
-        # Backend the portfolio's Winograd-family probes run under
-        # (default: the engine's own backend, so probes measure exactly
-        # what serving will pay -- including process/thread/compiled).
-        self.probe_backend = probe_backend if probe_backend is not None else backend
         self.n_workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
         self.worker_timeout = worker_timeout
         self.machine = machine
@@ -1173,7 +1145,6 @@ class ConvolutionEngine:
         fmr: FmrSpec | str | None = None,
         padding: tuple[int, ...] | None = None,
         dtype=np.float32,
-        blocked: bool = False,
         blocking: BlockingConfig | None = None,
         backend: str | None = None,
         algorithm: str | None = None,
@@ -1188,8 +1159,7 @@ class ConvolutionEngine:
         calls with the same layer signature hit the plan cache, and
         repeated calls with the same kernel tensor skip the kernel
         transform entirely (the "FX" path).  ``backend`` overrides the
-        engine default per call; ``blocked=True`` is the legacy spelling
-        of ``backend="blocked"``.  ``algorithm`` overrides the engine's
+        engine default per call.  ``algorithm`` overrides the engine's
         algorithm default per call (``"auto"`` engages the portfolio
         planner); the backend knobs apply to the Winograd family only.
         ``tenant`` attributes plans built for this request to a serving
@@ -1198,130 +1168,157 @@ class ConvolutionEngine:
         None``) fused into the conv's output write -- the graph
         executor's folded ReLU/BN/add/mul chains; it is applied exactly
         once, after whichever backend attempt succeeds.
+
+        Every algorithm takes one request path: one
+        :meth:`resolve_algorithm`, one ``request`` span, one
+        ``engine.requests.<label>`` count (the requested backend for
+        winograd, the algorithm name otherwise) and one
+        ``engine.request_seconds`` observation.  Then winograd runs
+        through the backend fallback chain, a baseline against its
+        memoized kernel preparation, and nested stacks its input and
+        hands the inner r = 3 problem to the same winograd step.
         """
         with self._request_guard():
-            return self._run(
-                images, kernels, fmr=fmr, padding=padding, dtype=dtype,
-                blocked=blocked, blocking=blocking, backend=backend,
-                algorithm=algorithm, tenant=tenant, out=out,
-                epilogue=epilogue,
-            )
-
-    def _run(
-        self,
-        images: np.ndarray,
-        kernels: np.ndarray,
-        *,
-        fmr: FmrSpec | str | None = None,
-        padding: tuple[int, ...] | None = None,
-        dtype=np.float32,
-        blocked: bool = False,
-        blocking: BlockingConfig | None = None,
-        backend: str | None = None,
-        algorithm: str | None = None,
-        tenant: str | None = None,
-        out: np.ndarray | None = None,
-        epilogue=None,
-    ) -> np.ndarray:
-        images = np.asarray(images)
-        kernels = np.asarray(kernels)
-        if images.ndim < 3:
-            raise ValueError(f"images must be (B, C, *spatial), got shape {images.shape}")
-        ndim = images.ndim - 2
-        r = tuple(kernels.shape[2:])
-        if padding is None:
-            padding = (0,) * ndim
-        padding = tuple(padding)
-        algo = algorithm if algorithm is not None else self.algorithm
-        if algo not in ("auto",) + ALGORITHMS:
-            raise ValueError(
-                f"algorithm must be 'auto' or one of {ALGORITHMS}, got {algo!r}"
-            )
-        if algo != "winograd":
-            # A backend knob pins the request to the Winograd family;
-            # "auto" then has nothing to decide, while an explicit
-            # baseline algorithm would contradict it.  "nested" IS the
-            # Winograd family (its inner r = 3 problem runs the normal
-            # pipeline), so backend knobs pass through to it.
-            wino_forced = blocked or blocking is not None or backend is not None
-            if algo == "auto":
-                if wino_forced:
-                    algo = "winograd"
-                else:
-                    algo = self._decide_algorithm(
-                        images, kernels, padding, np.dtype(dtype)
-                    ).algorithm
-            elif wino_forced and algo != "nested":
+            images = np.asarray(images)
+            kernels = np.asarray(kernels)
+            if images.ndim < 3:
                 raise ValueError(
-                    f"backend/blocked/blocking apply to the winograd path, "
-                    f"not algorithm={algo!r}"
+                    f"images must be (B, C, *spatial), got shape {images.shape}"
                 )
-            if algo == "nested":
-                return self._run_nested(
-                    images, kernels, padding, np.dtype(dtype), out,
-                    blocked=blocked, blocking=blocking, backend=backend,
-                    tenant=tenant, epilogue=epilogue,
-                )
-            if algo != "winograd":
-                return self._run_baseline(
-                    algo, images, kernels, padding, np.dtype(dtype), out,
-                    tenant=tenant, epilogue=epilogue,
-                )
-        if backend is None:
-            backend = "blocked" if blocked else self.backend
-        elif blocked and backend != "blocked":
-            raise ValueError(f"blocked=True conflicts with backend={backend!r}")
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        spec = self._resolve_spec(fmr, images.shape, kernels.shape, padding)
-        dtype = np.dtype(dtype)
-        if backend not in ("blocked", "thread", "process", "compiled") and blocking is not None:
-            raise ValueError("blocking is only meaningful with blocked=True")
-
-        self.metrics.counter(f"engine.requests.{backend}").inc()
-        if backend == "compiled" and not compiled_available():
-            # No C toolchain (or no cffi): reroute up front -- visibly,
-            # via the same fallback counters/events the chain uses --
-            # instead of paying a doomed plan build per request.
-            self.metrics.counter("engine.fallbacks").inc()
-            self.metrics.counter("engine.fallbacks.compiled_to_fused").inc()
-            self.tracer.event(
-                "fallback", source="compiled", target="fused",
-                error="CompilerUnavailableError",
+            padding = (0,) * (images.ndim - 2) if padding is None else tuple(padding)
+            dtype = np.dtype(dtype)
+            algo, _ = self.resolve_algorithm(
+                images, kernels, padding, dtype,
+                algorithm=algorithm, backend=backend, blocking=blocking,
             )
-            backend = "fused"
-            blocking = None
-        t0 = time.perf_counter()
-        with self.tracer.span("request", backend=backend) as req:
+            label = algo
+            if algo in ("winograd", "nested"):
+                backend = backend if backend is not None else self.backend
+                if backend not in BACKENDS:
+                    raise ValueError(
+                        f"backend must be one of {BACKENDS}, got {backend!r}"
+                    )
+                if blocking is not None and backend == "fused":
+                    raise ValueError("blocking does not apply to the fused backend")
+                if algo == "winograd":
+                    spec = self._resolve_spec(fmr, images.shape, kernels.shape, padding)
+                    label = backend
+                if backend == "compiled" and not compiled_available():
+                    # No C toolchain (or no cffi): reroute up front --
+                    # visibly, via the same fallback counters/events the
+                    # chain uses -- instead of paying a doomed plan
+                    # build per request.
+                    self.metrics.counter("engine.fallbacks").inc()
+                    self.metrics.counter("engine.fallbacks.compiled_to_fused").inc()
+                    self.tracer.event(
+                        "fallback", source="compiled", target="fused",
+                        error="CompilerUnavailableError",
+                    )
+                    backend = "fused"
+                    blocking = None
+            self.metrics.counter(f"engine.requests.{label}").inc()
+            t0 = time.perf_counter()
+            span_backend = backend if algo == "winograd" else algo
+            with self.tracer.span("request", backend=span_backend) as req:
+                try:
+                    if algo == "winograd":
+                        return self._run_winograd(
+                            req, backend, spec, images, kernels, padding, dtype,
+                            blocking, out, tenant, epilogue,
+                        )
+                    return self._run_prepared(
+                        req, algo, backend, images, kernels, padding, dtype,
+                        blocking, out, tenant, epilogue,
+                    )
+                finally:
+                    self.metrics.histogram("engine.request_seconds").observe(
+                        time.perf_counter() - t0
+                    )
+
+    def _run_winograd(
+        self, req, backend, spec, images, kernels, padding, dtype, blocking,
+        out, tenant, epilogue,
+    ) -> np.ndarray:
+        """The winograd step: :meth:`_dispatch` down the fallback chain."""
+        while True:
             try:
-                current = backend
-                while True:
-                    try:
-                        return self._dispatch(
-                            current, spec, images, kernels, padding, dtype,
-                            blocking, out, tenant=tenant, epilogue=epilogue,
-                        )
-                    except FALLBACK_ERRORS as exc:
-                        nxt = FALLBACK_NEXT.get(current)
-                        if nxt is None or not self.fallback:
-                            raise
-                        # Reroute this request down the chain; the
-                        # process pool self-heals for the next one.
-                        self.metrics.counter("engine.fallbacks").inc()
-                        self.metrics.counter(
-                            f"engine.fallbacks.{current}_to_{nxt}"
-                        ).inc()
-                        self.tracer.event(
-                            "fallback", source=current, target=nxt,
-                            error=type(exc).__name__,
-                        )
-                        req.attrs["fallback"] = f"{current}->{nxt}"
-                        current = nxt
-                        blocking = None  # re-resolve for the new backend
-            finally:
-                self.metrics.histogram("engine.request_seconds").observe(
-                    time.perf_counter() - t0
+                return self._dispatch(
+                    backend, spec, images, kernels, padding, dtype,
+                    blocking, out, tenant=tenant, epilogue=epilogue,
                 )
+            except FALLBACK_ERRORS as exc:
+                nxt = FALLBACK_NEXT.get(backend)
+                if nxt is None or not self.fallback:
+                    raise
+                # Reroute this request down the chain; the process pool
+                # self-heals for the next one.
+                self.metrics.counter("engine.fallbacks").inc()
+                self.metrics.counter(f"engine.fallbacks.{backend}_to_{nxt}").inc()
+                self.tracer.event(
+                    "fallback", source=backend, target=nxt,
+                    error=type(exc).__name__,
+                )
+                req.attrs["fallback"] = f"{backend}->{nxt}"
+                backend = nxt
+                blocking = None  # re-resolve for the new backend
+
+    def _run_prepared(
+        self, req, algo, backend, images, kernels, padding, dtype, blocking,
+        out, tenant, epilogue,
+    ) -> np.ndarray:
+        """A baseline or nested request against its memoized kernel prep.
+
+        Nested reduces the r > 3 kernel to ONE channel-stacked r = 3
+        problem (:mod:`repro.core.nested`): the stacked input is gathered
+        into an arena lease, the stacked kernel bank is the memoized
+        preparation, and the inner convolution takes the winograd step
+        with the request's backend knobs, epilogue and ``out=``.
+        """
+        key = PlanKey(
+            spec=None,
+            input_shape=tuple(images.shape),
+            c_out=kernels.shape[1],
+            padding=padding,
+            dtype=dtype.name,
+            backend=algo,
+            algorithm=algo,
+            kernel=tuple(kernels.shape[2:]),
+        )
+
+        def build() -> BaselinePlanEntry:
+            layer = self._layer_spec(images.shape, kernels.shape, padding)
+            impl = (
+                NestedWinogradExecutor(layer) if algo == "nested"
+                else make_baseline(algo, self.machine)
+            )
+            return BaselinePlanEntry(key, impl, layer)
+
+        entry = self.plans.get_or_create(key, build=build, tenant=tenant)
+        prepared = self.plans.prepared_kernels(entry, kernels)
+        images = images.astype(dtype, copy=False)
+        if algo != "nested":
+            with self.tracer.span(f"execute.{algo}"):
+                result = entry.impl.execute_prepared(
+                    images, prepared, entry.layer, out=out
+                )
+            return _apply_epilogue(result, epilogue)
+        nested = entry.impl
+        with self.tracer.span("execute.nested"):
+            with self.arena.lease(nested.stacked_nbytes(dtype)) as lease:
+                buf = lease.take(nested.stacked_shape, dtype)
+                with self.tracer.span("nested.stack"):
+                    nested.stack_input(images, out=buf)
+                padding = nested.inner_padding
+                spec = self._resolve_spec(None, buf.shape, prepared.shape, padding)
+                result = self._run_winograd(
+                    req, backend, spec, buf, prepared, padding, dtype,
+                    blocking, out, tenant, epilogue,
+                )
+        if out is not None and result is not out:
+            # Non-fused inner backends allocate their own output.
+            np.copyto(_result_buffer(out, result.shape, dtype), result)
+            result = out
+        return result
 
     # ------------------------------------------------------------------
     def run_many(
@@ -1332,7 +1329,6 @@ class ConvolutionEngine:
         fmr: FmrSpec | str | None = None,
         padding: tuple[int, ...] | None = None,
         dtype=np.float32,
-        blocked: bool = False,
         blocking: BlockingConfig | None = None,
         backend: str | None = None,
         algorithm: str | None = None,
@@ -1395,8 +1391,8 @@ class ConvolutionEngine:
             )
         out = self.run(
             stacked, kernels, fmr=fmr, padding=padding, dtype=dtype,
-            blocked=blocked, blocking=blocking, backend=backend,
-            algorithm=algorithm, tenant=tenant,
+            blocking=blocking, backend=backend, algorithm=algorithm,
+            tenant=tenant,
         )
         results: list[np.ndarray] = []
         off = 0
@@ -1530,7 +1526,7 @@ class ConvolutionEngine:
             # Same FX memoization as the fused path: the (T, C, C')
             # transform IS the V layout stage 2 consumes, so repeated
             # kernels skip stage 1b entirely.
-            w = self.plans.kernel_transform(entry, kernels)
+            w = self.plans.prepared_kernels(entry, kernels)
             with self.tracer.span("execute.compiled"):
                 result = execu.execute(images, w)
             return _apply_epilogue(result, epilogue)
@@ -1538,7 +1534,7 @@ class ConvolutionEngine:
         # compiled branch: the memoized FX lookup is shared request
         # plumbing, and keeping it out of both spans makes
         # execute.fused / execute.compiled directly comparable.
-        w = self.plans.kernel_transform(entry, kernels)
+        w = self.plans.prepared_kernels(entry, kernels)
         with self.tracer.span("execute.fused"):
             with self.arena.lease(entry.fast.lease_bytes) as lease:
                 return entry.fast.run(
@@ -1551,7 +1547,7 @@ class ConvolutionEngine:
         with self.tracer.span("execute.blocked"):
             execu = entry.executor
             with self.tracer.span("blocked.stage1"):
-                v = self.plans.packed_kernel_transform(entry, kernels)
+                v = self.plans.prepared_kernels(entry, kernels)
                 packed = execu.image_layout.pack(
                     np.asarray(images, dtype=entry.plan.dtype)
                 )
@@ -1574,147 +1570,69 @@ class ConvolutionEngine:
             kernel=tuple(kernel_shape[2:]),
         )
 
-    def _decide_algorithm(self, images, kernels, padding, dtype) -> AlgorithmChoice:
-        """Portfolio decision for this request's shape (memoized).
+    def resolve_algorithm(
+        self,
+        images: np.ndarray,
+        kernels: np.ndarray,
+        padding: tuple[int, ...],
+        dtype,
+        *,
+        algorithm: str | None = None,
+        backend: str | None = None,
+        blocking: BlockingConfig | None = None,
+    ) -> tuple[str, str]:
+        """Resolve one convolution's algorithm; returns ``(algorithm, source)``.
 
-        The in-engine memo makes the warm ``"auto"`` path one dict
-        lookup; the planner underneath additionally consults/records the
-        persistent wisdom so decisions survive the process.
+        The single resolution behind :meth:`run` and
+        :func:`repro.graph.planner.plan_graph`.  ``algorithm=None``
+        defers to the engine default.  A backend knob (``backend`` or
+        ``blocking``) pins the request to the Winograd family: ``"auto"``
+        then has nothing to decide, while an explicit baseline algorithm
+        contradicts it.  ``"nested"`` IS the Winograd family (its inner
+        r = 3 problem runs the normal pipeline), so the knobs pass
+        through to it.  ``"auto"`` asks the portfolio planner, memoized
+        per shape here (warm: one dict lookup) and in the persistent
+        wisdom underneath.  ``source`` is ``forced`` or ``default`` for
+        pinned algorithms, else the portfolio's ``predicted`` /
+        ``probed`` / ``remembered``.
         """
+        algo = algorithm if algorithm is not None else self.algorithm
+        if algo not in ("auto",) + ALGORITHMS:
+            raise ValueError(
+                f"algorithm must be 'auto' or one of {ALGORITHMS}, got {algo!r}"
+            )
+        wino_forced = backend is not None or blocking is not None
+        if algo != "auto":
+            if wino_forced and algo not in ("winograd", "nested"):
+                raise ValueError(
+                    f"backend/blocking apply to the winograd path, "
+                    f"not algorithm={algo!r}"
+                )
+            return algo, "forced" if algorithm is not None else "default"
+        if wino_forced:
+            return "winograd", "forced"
+        dtype = np.dtype(dtype)
         cache_key = (
             tuple(images.shape), tuple(kernels.shape), tuple(padding), dtype.name
         )
         with self._lock:
-            cached = self._algo_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        layer = self._layer_spec(images.shape, kernels.shape, padding)
+            choice = self._algo_cache.get(cache_key)
+        if choice is None:
 
-        def probe_once(algo: str) -> float:
-            # Re-enter run() with the algorithm forced: probes time the
-            # exact dispatch path serving will use (plan cache, arena,
-            # memoized kernel prep) rather than a synthetic harness.
-            # Winograd-family probes additionally pin the probe backend
-            # (engine default: its own), so a process/compiled engine's
-            # decisions are measured under that executor, never a
-            # silently-fused stand-in.
-            kwargs = {}
-            if algo in ENGINE_EXECUTED:
-                kwargs["backend"] = self.probe_backend
-            t0 = time.perf_counter()
-            self.run(
-                images, kernels, padding=padding, dtype=dtype,
-                algorithm=algo, **kwargs,
-            )
-            return time.perf_counter() - t0
+            def probe_once(algo: str) -> float:
+                # Re-enter run() with the algorithm forced: probes time
+                # the exact dispatch path serving will use (plan cache,
+                # arena, memoized kernel prep, the engine's own backend)
+                # rather than a synthetic harness.
+                t0 = time.perf_counter()
+                self.run(images, kernels, padding=padding, dtype=dtype, algorithm=algo)
+                return time.perf_counter() - t0
 
-        choice = self.portfolio.decide(layer, dtype.name, probe_once)
-        with self._lock:
-            self._algo_cache[cache_key] = choice
-        return choice
-
-    def _run_baseline(
-        self, algo, images, kernels, padding, dtype, out,
-        tenant: str | None = None, epilogue=None,
-    ) -> np.ndarray:
-        """One request through a non-Winograd portfolio algorithm."""
-        self.metrics.counter(f"engine.requests.{algo}").inc()
-        t0 = time.perf_counter()
-        with self.tracer.span("request", backend=algo):
-            try:
-                layer = self._layer_spec(images.shape, kernels.shape, padding)
-                key = PlanKey(
-                    spec=None,
-                    input_shape=tuple(images.shape),
-                    c_out=kernels.shape[1],
-                    padding=tuple(padding),
-                    dtype=dtype.name,
-                    blocking=None,
-                    backend=algo,
-                    algorithm=algo,
-                    kernel=tuple(kernels.shape[2:]),
-                )
-                entry = self.plans.get_or_create(
-                    key,
-                    build=lambda: BaselinePlanEntry(
-                        key, make_baseline(algo, self.machine), layer
-                    ),
-                    tenant=tenant,
-                )
-                prepared = self.plans.baseline_prepared(entry, kernels)
-                with self.tracer.span(f"execute.{algo}"):
-                    result = entry.impl.execute_prepared(
-                        images.astype(dtype, copy=False), prepared, layer, out=out
-                    )
-                return _apply_epilogue(result, epilogue)
-            finally:
-                self.metrics.histogram("engine.request_seconds").observe(
-                    time.perf_counter() - t0
-                )
-
-    def _run_nested(
-        self, images, kernels, padding, dtype, out,
-        blocked: bool = False, blocking=None, backend: str | None = None,
-        tenant: str | None = None, epilogue=None,
-    ) -> np.ndarray:
-        """One request through the nested-Winograd decomposition.
-
-        The r > 3 kernel is reduced to ONE channel-stacked r = 3 problem
-        (:mod:`repro.core.nested`): the stacked input is gathered into an
-        arena lease, the stacked kernel bank is memoized in the plan
-        cache like a baseline's prepared kernels, and the inner
-        convolution re-enters :meth:`_run` on the normal Winograd path --
-        honoring the request's backend knobs, epilogue and ``out=``, and
-        inheriting the plan cache / FX memoization / fallback chain.
-        """
-        self.metrics.counter("engine.requests.nested").inc()
-        t0 = time.perf_counter()
-        with self.tracer.span("request", backend="nested"):
-            try:
-                layer = self._layer_spec(images.shape, kernels.shape, padding)
-                key = PlanKey(
-                    spec=None,
-                    input_shape=tuple(images.shape),
-                    c_out=kernels.shape[1],
-                    padding=tuple(padding),
-                    dtype=dtype.name,
-                    blocking=None,
-                    backend="nested",
-                    algorithm="nested",
-                    kernel=tuple(kernels.shape[2:]),
-                )
-                entry = self.plans.get_or_create(
-                    key,
-                    build=lambda: BaselinePlanEntry(
-                        key, NestedWinogradExecutor(layer), layer
-                    ),
-                    tenant=tenant,
-                )
-                stacked_kernels = self.plans.baseline_prepared(entry, kernels)
-                executor = entry.impl
-                with self.tracer.span("execute.nested"):
-                    with self.arena.lease(executor.stacked_nbytes(dtype)) as lease:
-                        buf = lease.take(executor.stacked_shape, dtype)
-                        with self.tracer.span("nested.stack"):
-                            executor.stack_input(
-                                images.astype(dtype, copy=False), out=buf
-                            )
-                        result = self._run(
-                            buf, stacked_kernels,
-                            padding=executor.inner_padding, dtype=dtype,
-                            blocked=blocked, blocking=blocking,
-                            backend=backend, algorithm="winograd",
-                            tenant=tenant, out=out, epilogue=epilogue,
-                        )
-                if out is not None and result is not out:
-                    # Non-fused inner backends allocate their own output.
-                    np.copyto(_result_buffer(out, result.shape, dtype), result)
-                    result = out
-                return result
-            finally:
-                self.metrics.histogram("engine.request_seconds").observe(
-                    time.perf_counter() - t0
-                )
+            layer = self._layer_spec(images.shape, kernels.shape, padding)
+            choice = self.portfolio.decide(layer, dtype.name, probe_once)
+            with self._lock:
+                self._algo_cache[cache_key] = choice
+        return choice.algorithm, choice.source
 
     # ------------------------------------------------------------------
     def _resolve_spec(self, fmr, input_shape, kernel_shape, padding) -> FmrSpec:

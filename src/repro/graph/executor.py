@@ -122,6 +122,11 @@ def _make_epilogue(steps: list[Node], chain: list[str], env):
     return epilogue
 
 
+def _conv_fmr(node: Node, np_: NodePlan):
+    """The node's pinned ``F(m, r)``; only the winograd path takes one."""
+    return node.attr("fmr") if np_.algorithm == "winograd" else None
+
+
 class GraphExecutor:
     """Plan once, run many: the optimized whole-graph path.
 
@@ -200,27 +205,12 @@ class GraphExecutor:
             else:
                 dest = lease.take(shape, plan.dtype)
                 leased.add(id(dest))
-        kwargs = dict(
-            padding=tuple(node.attrs["padding"]),
-            dtype=plan.dtype,
-            epilogue=epilogue,
-            out=dest,
-            tenant=self.tenant,
+        result = engine.run(
+            x, node.attrs["weights"], fmr=_conv_fmr(node, np_),
+            padding=tuple(node.attrs["padding"]), dtype=plan.dtype,
+            backend=np_.backend, algorithm=np_.algorithm,
+            epilogue=epilogue, out=dest, tenant=self.tenant,
         )
-        if np_.algorithm == "winograd":
-            result = engine.run(
-                x, node.attrs["weights"], fmr=node.attr("fmr"),
-                backend=np_.backend, algorithm="winograd", **kwargs,
-            )
-        elif np_.algorithm == "nested":
-            result = engine.run(
-                x, node.attrs["weights"],
-                backend=np_.backend, algorithm="nested", **kwargs,
-            )
-        else:
-            result = engine.run(
-                x, node.attrs["weights"], algorithm=np_.algorithm, **kwargs,
-            )
         if dest is None and np_.feeds_downstream:
             # The conv landed in a private heap array the engine
             # allocated (non-in-place backend) and a later node must
@@ -246,20 +236,11 @@ def execute_plan_naive(
     for node in plan.order:
         if node.op == "conv":
             np_ = plan.node_plans[node.name]
-            x = env[node.inputs[0]]
-            if np_.algorithm in ("winograd", "nested"):
-                env[node.name] = engine.run(
-                    x, node.attrs["weights"],
-                    fmr=node.attr("fmr") if np_.algorithm == "winograd" else None,
-                    padding=tuple(node.attrs["padding"]), dtype=plan.dtype,
-                    backend=np_.backend, algorithm=np_.algorithm, tenant=tenant,
-                )
-            else:
-                env[node.name] = engine.run(
-                    x, node.attrs["weights"],
-                    padding=tuple(node.attrs["padding"]), dtype=plan.dtype,
-                    algorithm=np_.algorithm, tenant=tenant,
-                )
+            env[node.name] = engine.run(
+                env[node.inputs[0]], node.attrs["weights"], fmr=_conv_fmr(node, np_),
+                padding=tuple(node.attrs["padding"]), dtype=plan.dtype,
+                backend=np_.backend, algorithm=np_.algorithm, tenant=tenant,
+            )
         else:
             env[node.name] = eval_node(node, [env[t] for t in node.inputs])
     return {name: env[name] for name in graph.outputs}

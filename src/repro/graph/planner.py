@@ -3,8 +3,8 @@
 :func:`plan_graph` turns a validated :class:`~repro.graph.ir.Graph`
 into an executable :class:`GraphPlan`:
 
-* **Per-conv algorithm.**  Each conv node goes through the same
-  resolution as :meth:`ConvolutionEngine.run` -- an explicit
+* **Per-conv algorithm.**  Each conv node goes through the engine's
+  one resolver, :meth:`ConvolutionEngine.resolve_algorithm` -- an explicit
   ``algorithm`` pins every node, an explicit ``backend`` pins the
   Winograd family, and ``"auto"`` asks the engine's memoized
   :class:`~repro.core.portfolio.PortfolioPlanner` per *node shape*, so
@@ -150,8 +150,13 @@ def plan_graph(
             materialized.add(node.name)
             continue
 
-        algo, source, req_backend = _resolve_algorithm(
-            node, shapes, engine, backend=backend, algorithm=algorithm, dtype=dtype
+        algo, source = engine.resolve_algorithm(
+            np.zeros(shapes[node.inputs[0]], dtype=dtype),
+            node.attrs["weights"],
+            tuple(node.attrs["padding"]),
+            dtype,
+            algorithm=algorithm,
+            backend=backend,
         )
 
         epilogues: list[str] = []
@@ -173,7 +178,7 @@ def plan_graph(
                 epilogues.append(nxt.name)
                 tensor = nxt.name
 
-        resolved_backend = req_backend if req_backend is not None else engine.backend
+        resolved_backend = backend if backend is not None else engine.backend
         writes_in_place = algo != "winograd" or resolved_backend == "fused"
         # The chain stopped at `tensor`, so none of its consumers were
         # folded into THIS conv; consumers folded into a *later* conv
@@ -183,7 +188,7 @@ def plan_graph(
         node_plans[node.name] = NodePlan(
             name=node.name,
             algorithm=algo,
-            backend=req_backend if algo in ("winograd", "nested") else None,
+            backend=backend if algo in ("winograd", "nested") else None,
             source=source,
             epilogues=tuple(epilogues),
             result=tensor,
@@ -209,30 +214,3 @@ def plan_graph(
         arena_bytes=arena_bytes,
     )
 
-
-def _resolve_algorithm(
-    node: Node, shapes, engine, *, backend, algorithm, dtype
-) -> tuple[str, str, str | None]:
-    """Mirror :meth:`ConvolutionEngine._run`'s algorithm resolution for
-    one conv node; returns (algorithm, source, backend_request)."""
-    algo = algorithm if algorithm is not None else engine.algorithm
-    wino_forced = backend is not None
-    if algo == "auto":
-        if wino_forced:
-            return "winograd", "forced", backend
-        in_shape = shapes[node.inputs[0]]
-        choice = engine._decide_algorithm(
-            np.zeros(in_shape, dtype=dtype),
-            node.attrs["weights"],
-            tuple(node.attrs["padding"]),
-            dtype,
-        )
-        return choice.algorithm, choice.source, None
-    if algo not in ("winograd", "nested") and wino_forced:
-        # "nested" is Winograd-family: its inner r = 3 problem honors
-        # backend requests, so a pinned backend passes through to it.
-        raise ValueError(
-            f"backend applies to the winograd path, not algorithm={algo!r}"
-        )
-    source = "forced" if algorithm is not None else "default"
-    return algo, source, backend

@@ -100,7 +100,7 @@ def _all_executors(spec, img, ker, padding, dtype):
         outs["fused"] = engine.run(img, ker, fmr=spec, padding=padding, dtype=dtype)
         outs["blocked"] = engine.run(
             img, ker, fmr=spec, padding=padding, dtype=dtype,
-            blocked=True, blocking=BLK,
+            backend="blocked", blocking=BLK,
         )
     thread = ParallelWinogradExecutor(
         plan=plan, blocking=BLK, n_threads=2, simd_width=8

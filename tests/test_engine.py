@@ -3,8 +3,9 @@
 Covers the cache's hit/miss/eviction semantics (count and byte budgets),
 arena reuse and alignment, correctness of the fused fast path against
 the reference pipeline and direct convolution (2D/3D, crop and no-crop),
-the blocked mode, wisdom persistence, and the bit-compatibility of the
-vectorized stage 2 against the traced JIT-kernel loop in float64.
+the blocked mode, wisdom persistence, the bit-compatibility of the
+vectorized stage 2 against the traced JIT-kernel loop in float64, and
+the single request path every algorithm takes through ``run``.
 """
 
 import numpy as np
@@ -21,6 +22,8 @@ from repro.core.engine import (
     kernel_fingerprint,
 )
 from repro.core.fmr import FmrSpec
+from repro.core.portfolio import make_baseline
+from repro.nets.layers import ConvLayerSpec
 from repro.nets.reference import direct_convolution
 from repro.util.wisdom import Wisdom
 
@@ -82,11 +85,11 @@ class TestPlanCache:
         cache = PlanCache()
         entry = cache.get_or_create(_key())
         ker = RNG.standard_normal((16, 16, 3, 3)).astype(np.float32)
-        w1 = cache.kernel_transform(entry, ker)
-        w2 = cache.kernel_transform(entry, ker.copy())  # equal content
+        w1 = cache.prepared_kernels(entry, ker)
+        w2 = cache.prepared_kernels(entry, ker.copy())  # equal content
         assert w1 is w2
         assert cache.stats.kernel_hits == 1
-        w3 = cache.kernel_transform(entry, ker * 2.0)
+        w3 = cache.prepared_kernels(entry, ker * 2.0)
         assert w3 is not w1
         assert cache.stats.kernel_misses == 2
 
@@ -251,10 +254,10 @@ class TestEngineCorrectness:
         img = RNG.standard_normal((1, 32, 12, 12)).astype(np.float32)
         ker = RNG.standard_normal((32, 32, 3, 3)).astype(np.float32)
         y = self._compare(
-            engine, img, ker, (1, 1), fmr="F(2x2,3x3)", blocked=True, blocking=BLK
+            engine, img, ker, (1, 1), fmr="F(2x2,3x3)", backend="blocked", blocking=BLK
         )
         y2 = engine.run(
-            img, ker, fmr="F(2x2,3x3)", padding=(1, 1), blocked=True, blocking=BLK
+            img, ker, fmr="F(2x2,3x3)", padding=(1, 1), backend="blocked", blocking=BLK
         )
         np.testing.assert_array_equal(y, y2)  # second run hits the cache
         assert engine.plans.stats.hits >= 1
@@ -299,7 +302,7 @@ class TestEngineCaching:
         engine = ConvolutionEngine(wisdom_path=path)
         img = RNG.standard_normal((1, 32, 12, 12)).astype(np.float32)
         ker = RNG.standard_normal((32, 32, 3, 3)).astype(np.float32)
-        engine.run(img, ker, fmr="F(2x2,3x3)", padding=(1, 1), blocked=True)
+        engine.run(img, ker, fmr="F(2x2,3x3)", padding=(1, 1), backend="blocked")
         assert len(engine.wisdom) == 1
         engine.save_wisdom()
         engine2 = ConvolutionEngine(wisdom_path=path)
@@ -442,3 +445,55 @@ class TestTransformMemoization:
         clear_compile_caches()
         after = winograd_nd(spec)
         assert before is not after
+
+
+class TestRequestPath:
+    """Every algorithm takes one request path: one ``request`` span, one
+    ``engine.requests.*`` count, one latency observation, and the same
+    outputs the algorithm computes on its own."""
+
+    @pytest.mark.parametrize("backend", ["fused", "blocked"])
+    def test_nested_call_is_one_request(self, backend):
+        img = RNG.standard_normal((1, 16, 12, 12)).astype(np.float32)
+        ker = RNG.standard_normal((16, 16, 5, 5)).astype(np.float32)
+        with ConvolutionEngine(backend=backend) as engine:
+            engine.run(img, ker, padding=(2, 2), algorithm="nested")
+            (req,) = engine.tracer.spans("request")
+            assert req.attrs["backend"] == "nested"
+            assert engine.metrics.histogram("engine.request_seconds").count == 1
+            assert engine.metrics.counter_value("engine.requests.nested") == 1
+            assert engine.metrics.counter_value(f"engine.requests.{backend}") == 0
+            # The inner r = 3 problem still ran on the requested backend.
+            assert engine.tracer.spans(f"execute.{backend}")
+
+    @pytest.mark.parametrize("use_epilogue", [False, True])
+    @pytest.mark.parametrize("use_out", [False, True])
+    @pytest.mark.parametrize("algo", ["fft", "direct", "im2col"])
+    def test_baseline_bitwise_equals_implementation(self, algo, use_out, use_epilogue):
+        img = RNG.standard_normal((2, 8, 10, 10)).astype(np.float32)
+        ker = RNG.standard_normal((8, 12, 3, 3)).astype(np.float32)
+        layer = ConvLayerSpec(
+            network="test", name="base", batch=2, c_in=8, c_out=12,
+            image=(10, 10), padding=(1, 1), kernel=(3, 3),
+        )
+
+        def epilogue(r):
+            np.multiply(r, 1.5, out=r)
+            np.maximum(r, 0.0, out=r)
+
+        epi = epilogue if use_epilogue else None
+        with ConvolutionEngine() as engine:
+            want = make_baseline(algo, engine.machine).execute(img, ker, layer)
+            if epi is not None:
+                epi(want)
+            out = np.empty_like(want) if use_out else None
+            for _ in range(2):  # cold, then with the memoized kernel prep
+                got = engine.run(
+                    img, ker, padding=(1, 1), algorithm=algo, out=out, epilogue=epi
+                )
+                if use_out:
+                    assert got is out
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert engine.plans.stats.kernel_hits == 1
+            assert engine.metrics.counter_value(f"engine.requests.{algo}") == 2

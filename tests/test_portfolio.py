@@ -255,10 +255,13 @@ class TestEngineAlgorithmDispatch:
                 eng.run(images, kernels, algorithm="strassen")
 
     def test_backend_knobs_conflict_with_baseline_algorithms(self):
+        from repro.core.blocking import BlockingConfig
+
         images, kernels = _arrays(_layer(c_in=16, c_out=16))
+        blk = BlockingConfig(n_blk=6, c_blk=16, cprime_blk=16)
         with ConvolutionEngine() as eng:
             with pytest.raises(ValueError, match="winograd path"):
-                eng.run(images, kernels, algorithm="fft", blocked=True)
+                eng.run(images, kernels, algorithm="fft", blocking=blk)
             with pytest.raises(ValueError, match="winograd path"):
                 eng.run(images, kernels, algorithm="fft", backend="thread")
 
@@ -517,26 +520,13 @@ class TestProbeBackend:
         with ConvolutionEngine(
             backend="process", algorithm="auto", n_workers=2
         ) as eng:
-            assert eng.probe_backend == "process"
             eng.run(images, kernels, padding=layer.padding)
             (decision,) = eng.algorithm_decisions()
             assert decision["source"] == "probed"
-            assert eng.metrics.counter_value("engine.requests.process") >= 1
-
-    def test_probe_backend_override(self):
-        layer = _layer(r=5, c_in=16, c_out=16, img=16)
-        images, kernels = _arrays(layer)
-        with ConvolutionEngine(
-            algorithm="auto", probe_backend="thread", n_workers=2
-        ) as eng:
-            assert eng.probe_backend == "thread"
-            eng.run(images, kernels, padding=layer.padding)
-            # The family probes ran under the requested backend.
-            assert eng.metrics.counter_value("engine.requests.thread") >= 1
-
-    def test_probe_backend_validated(self):
-        with pytest.raises(ValueError, match="probe_backend"):
-            ConvolutionEngine(probe_backend="bogus")
+            # The nested probe counts as a nested request; its inner
+            # r = 3 problem executed on the process backend.
+            assert eng.metrics.counter_value("engine.requests.nested") >= 1
+            assert eng.tracer.spans("execute.process")
 
 
 class TestProfileWisdomIsolation:
