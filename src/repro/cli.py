@@ -10,9 +10,9 @@ table).  This CLI reproduces those entry points::
     python -m repro accuracy [--net VGG|C3D|both]
     python -m repro gemm
     python -m repro tune --network VGG --layer 4.2 --fmr "F(4x4,3x3)"
-    python -m repro serve --network VGG --layer 3.2 --requests 50 --backend process
+    python -m repro serve --network VGG --layer 3.2 --requests 50 --backend compiled
     python -m repro serve --stats --trace-json trace.json   # live [stats] lines + span dump
-    python -m repro run --network VGG --layer 3.2 --backend process --check
+    python -m repro run --network VGG --layer 3.2 --backend compiled --check
     python -m repro info
 
 All performance numbers are from the simulated machine substrate and
@@ -77,7 +77,6 @@ def _print_run_stats(stats, tracer) -> None:
     )
     print("--- stats ---")
     print(f"fallbacks: {int(stats['fallbacks'])}{detail}")
-    print(f"shm live : {stats['shm']['segments_live']} segments")
     print("stage timings (ms):")
     for s in _stage_spans(tracer):
         flag = f"  [failed: {s.attrs['error']}]" if "error" in s.attrs else ""
@@ -294,7 +293,7 @@ def _cmd_serve_listen(args) -> int:
         max_plan_bytes=args.tenant_plan_mb << 20 if args.tenant_plan_mb else None,
     )
     engine = ConvolutionEngine(
-        wisdom_path=args.wisdom, backend=args.backend, n_workers=args.workers,
+        wisdom_path=args.wisdom, backend=args.backend,
         algorithm=args.algorithm, profile=args.profile,
     )
 
@@ -353,7 +352,7 @@ def cmd_serve(args) -> int:
         image_divisor=args.image_divisor,
     )
     engine = ConvolutionEngine(
-        wisdom_path=args.wisdom, backend=args.backend, n_workers=args.workers,
+        wisdom_path=args.wisdom, backend=args.backend,
         algorithm=args.algorithm, profile=args.profile,
     )
     rng = np.random.default_rng(0)
@@ -383,8 +382,7 @@ def cmd_serve(args) -> int:
                 print(f"[stats] req={i + 1} p50_ms={wpct(50):.2f} "
                       f"p95_ms={wpct(95):.2f} "
                       f"cache_hit_rate={hits / max(1, hits + misses):.2f} "
-                      f"fallbacks={int(snap['fallbacks'])} "
-                      f"shm_live={snap['shm']['segments_live']}")
+                      f"fallbacks={int(snap['fallbacks'])}")
         warm = sorted(latencies[1:]) if len(latencies) > 1 else sorted(latencies)
 
         def pct(p):
@@ -392,9 +390,7 @@ def cmd_serve(args) -> int:
 
         print(f"layer             : {layer.label} (scaled: B={layer.batch} "
               f"C={layer.c_in} C'={layer.c_out} I={'x'.join(map(str, layer.image))})")
-        print(f"backend           : {args.backend}"
-              + (f" ({engine.n_workers} workers)"
-                 if args.backend in ("thread", "process") else ""))
+        print(f"backend           : {args.backend}")
         print(f"algorithm         : {args.algorithm}")
         for d in engine.algorithm_decisions():
             print(f"  decision        : {d['algorithm']} (source: {d['source']}, "
@@ -424,7 +420,6 @@ def cmd_serve(args) -> int:
             print(f"wisdom saved to   : {args.wisdom} "
                   f"({len(engine.wisdom)} entries)")
     finally:
-        # Parallel backends hold worker pools / shared memory.
         engine.close()
     return 0
 
@@ -460,23 +455,19 @@ def cmd_run(args) -> int:
     ).astype(np.float32)
 
     with ConvolutionEngine(
-        backend=args.backend, n_workers=args.workers, algorithm=args.algorithm,
-        profile=args.profile,
+        backend=args.backend, algorithm=args.algorithm, profile=args.profile,
     ) as engine:
         t0 = time.perf_counter()
         out = engine.run(images, kernels, padding=layer.padding)
         elapsed = time.perf_counter() - t0
-        workers = engine.n_workers
-        # Snapshot while pools/segments are still alive so shm gauges
-        # reflect the serving state, not the post-close teardown.
+        # Snapshot before close() drops the cached plans.
         stats = engine.stats()
         decisions = engine.algorithm_decisions()
         tracer = engine.tracer
 
     print(f"layer    : {layer.label} (scaled: B={layer.batch} C={layer.c_in} "
           f"C'={layer.c_out} I={'x'.join(map(str, layer.image))})")
-    print(f"backend  : {args.backend}"
-          + (f" ({workers} workers)" if args.backend in ("thread", "process") else ""))
+    print(f"backend  : {args.backend}")
     print(f"profile  : {args.profile or 'manycore-knl'}")
     print(f"algorithm: {args.algorithm}"
           + "".join(f" -> {d['algorithm']} ({d['source']})" for d in decisions))
@@ -546,8 +537,7 @@ def cmd_run_graph(args) -> int:
 
     failed = False
     with ConvolutionEngine(
-        backend=args.backend, n_workers=args.workers, algorithm=args.algorithm,
-        profile=args.profile,
+        backend=args.backend, algorithm=args.algorithm, profile=args.profile,
     ) as engine:
         t0 = time.perf_counter()
         executor = GraphExecutor(graph, engine, fuse=not args.no_fuse)
@@ -700,16 +690,12 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--channels-divisor", type=int, default=4)
     sv.add_argument("--image-divisor", type=int, default=4)
     sv.add_argument("--backend", choices=list(ENGINE_BACKENDS), default="fused",
-                    help="execution backend (process = true parallelism; "
-                         "compiled = C codelets, falls back to fused "
-                         "without a toolchain)")
+                    help="execution backend (compiled = C codelets, "
+                         "falls back to fused without a toolchain)")
     sv.add_argument("--algorithm", choices=["auto"] + list(ENGINE_ALGORITHMS),
                     default="winograd",
                     help="convolution algorithm; 'auto' lets the portfolio "
                          "planner pick per shape (predict -> probe -> wisdom)")
-    sv.add_argument("--workers", type=int, default=None,
-                    help="worker count for thread/process backends "
-                         "(default: host core count)")
     sv.add_argument("--profile", choices=list(list_profiles()), default=None,
                     help="named machine profile for the cost model and "
                          "wisdom namespace (default: manycore-knl)")
@@ -751,7 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="winograd",
                     help="convolution algorithm; 'auto' engages the portfolio "
                          "planner")
-    rn.add_argument("--workers", type=int, default=None)
     rn.add_argument("--profile", choices=list(list_profiles()), default=None,
                     help="named machine profile (portfolio decisions are "
                          "namespaced per profile in wisdom)")
@@ -775,7 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--algorithm", choices=["auto"] + list(ENGINE_ALGORITHMS),
                     default="winograd",
                     help="'auto' lets the portfolio planner pick per conv node")
-    rg.add_argument("--workers", type=int, default=None)
     rg.add_argument("--profile", choices=list(list_profiles()), default=None,
                     help="named machine profile for per-node planning")
     rg.add_argument("--seed", type=int, default=0)

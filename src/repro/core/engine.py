@@ -40,7 +40,6 @@ restarts its binary per layer benchmark); see DESIGN.md.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -66,13 +65,6 @@ from repro.core.compiled_backend import (
 from repro.core.codelets import clear_codelet_cache
 from repro.core.convolution import TransformedKernels, WinogradPlan
 from repro.core.fmr import FmrSpec
-from repro.core.parallel_convolution import ParallelWinogradExecutor
-from repro.core.parallel_process import (
-    ProcessWinogradExecutor,
-    WorkerCrashError,
-    WorkerError,
-    WorkspaceCorruptionError,
-)
 from repro.core.nested import NestedWinogradExecutor
 from repro.core.portfolio import (
     ALGORITHMS,
@@ -80,12 +72,10 @@ from repro.core.portfolio import (
     PortfolioPlanner,
     make_baseline,
 )
-from repro.core.shm import live_segment_count
 from repro.core.transforms import clear_transform_caches
 from repro.machine.spec import KNL_7210, MachineSpec
 from repro.nets.layers import ConvLayerSpec
 from repro.nets.reference import output_shape
-from repro.obs.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.util.alignment import CACHE_LINE_BYTES, round_up
@@ -159,33 +149,26 @@ def kernel_fingerprint(kernels: np.ndarray) -> str:
 
 
 #: Execution backends selectable per engine (or per call).
-BACKENDS = ("fused", "blocked", "thread", "process", "compiled")
+BACKENDS = ("fused", "blocked", "compiled")
 
-#: Fallback chain: where a request reroutes when its backend fails with
-#: a worker crash / in-stage error / workspace corruption.  ``blocked``
-#: is the terminal station (single-process, no pool to lose); the
-#: compiled backend degrades to the pure-numpy fused path when the host
-#: loses (or never had) a C toolchain.
-FALLBACK_NEXT = {"process": "thread", "thread": "blocked", "compiled": "fused"}
+#: Fallback chain: where a request reroutes when its backend fails.
+#: The compiled backend degrades to the pure-numpy fused path when the
+#: host loses (or never had) a C toolchain or a codelet fails to build.
+FALLBACK_NEXT = {"compiled": "fused"}
 
 #: Failures the fallback chain absorbs.  Anything else (shape errors,
 #: bugs in stage math) propagates -- rerouting would just re-raise it.
-FALLBACK_ERRORS = (
-    WorkerCrashError,
-    WorkerError,
-    WorkspaceCorruptionError,
-    CompilerUnavailableError,
-    CodeletBuildError,
-)
+FALLBACK_ERRORS = (CompilerUnavailableError, CodeletBuildError)
 
 
 def parallel_simd_width(c_in: int, c_out: int) -> int:
     """Largest power-of-two SIMD group dividing both channel counts.
 
-    The parallel executors require ``C`` and ``C'`` divisible by ``S``;
-    shrinking ``S`` (rather than rejecting the layer) keeps the thread
-    and process backends available for arbitrary channel counts at the
-    cost of shorter vector groups.
+    The compiled executor requires ``C`` and ``C'`` divisible by ``S``,
+    as does the §4.5 ``ParallelWinogradExecutor``, which takes the same
+    blocking (hence the name).  Shrinking ``S`` (rather than rejecting
+    the layer) keeps the compiled backend available for arbitrary
+    channel counts at the cost of shorter vector groups.
     """
     for s in (16, 8, 4, 2, 1):
         if c_in % s == 0 and c_out % s == 0:
@@ -194,7 +177,8 @@ def parallel_simd_width(c_in: int, c_out: int) -> int:
 
 
 def default_parallel_blocking(c_in: int, c_out: int, simd: int) -> BlockingConfig:
-    """A valid stage-2 blocking for the parallel backends.
+    """A valid stage-2 blocking for the compiled backend (and the §4.5
+    parallel executors).
 
     Largest channel blocks <= 128 that divide the channel counts and are
     multiples of ``simd`` -- correctness-first defaults when no wisdom
@@ -208,10 +192,9 @@ def default_parallel_blocking(c_in: int, c_out: int, simd: int) -> BlockingConfi
                 return d
         return simd
 
-    # n_blk at the legal maximum: stage 2 is driven by a Python loop
-    # over row blocks, so bigger blocks mean fewer interpreter
-    # iterations per GEMM (the cost model's register-pressure concerns
-    # do not apply to the numpy substrate).
+    # n_blk at the legal maximum: bigger row blocks mean fewer stage-2
+    # block iterations per GEMM (the cost model's register-pressure
+    # concerns do not apply to this substrate).
     return BlockingConfig(
         n_blk=30, c_blk=_blk(c_in), cprime_blk=_blk(c_out), simd_width=simd
     )
@@ -236,7 +219,7 @@ class PlanKey:
     padding: tuple[int, ...]
     dtype: str
     blocking: BlockingConfig | None = None  # None: fused numpy fast path
-    backend: str = "fused"  # fused | blocked | thread | process | compiled
+    backend: str = "fused"  # fused | blocked | compiled
     algorithm: str = "winograd"  # winograd | fft | direct | im2col
     kernel: tuple[int, ...] | None = None  # baseline plans only
 
@@ -310,7 +293,6 @@ class PlanEntry(_CacheEntry):
         self.plan = plan
         self.fast = _FusedPlan(plan)
         self._executor: BlockedWinogradExecutor | None = None
-        self._parallel: ParallelWinogradExecutor | ProcessWinogradExecutor | None = None
         self._compiled: CompiledWinogradExecutor | None = None
 
     def prepare_kernels(self, kernels: np.ndarray):
@@ -330,52 +312,6 @@ class PlanEntry(_CacheEntry):
                     plan=self.plan, blocking=self.key.blocking
                 )
             return self._executor
-
-    def parallel_executor(
-        self,
-        n_workers: int,
-        timeout: float = 60.0,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        faults: FaultPlan | None = None,
-        respawn_budget: int = 2,
-    ):
-        """Lazily built thread/process executor for this plan.
-
-        The executor is part of the cached entry -- its schedules, pool
-        (threads or worker processes) and shared-memory arena are the
-        "compile time" products the cache amortizes across requests.
-        The observability hooks are captured at first build (one
-        executor serves one engine, so they never need to change).
-        """
-        if self.key.backend not in ("thread", "process") or self.key.blocking is None:
-            raise ValueError(
-                f"plan was cached for backend {self.key.backend!r}, not a parallel one"
-            )
-        with self.lock:
-            if self._parallel is None:
-                if self.key.backend == "thread":
-                    self._parallel = ParallelWinogradExecutor(
-                        plan=self.plan,
-                        blocking=self.key.blocking,
-                        n_threads=n_workers,
-                        simd_width=self.key.blocking.simd_width,
-                        tracer=tracer,
-                        metrics=metrics,
-                    )
-                else:
-                    self._parallel = ProcessWinogradExecutor(
-                        plan=self.plan,
-                        blocking=self.key.blocking,
-                        n_workers=n_workers,
-                        simd_width=self.key.blocking.simd_width,
-                        timeout=timeout,
-                        tracer=tracer,
-                        metrics=metrics,
-                        faults=faults,
-                        respawn_budget=respawn_budget,
-                    )
-            return self._parallel
 
     def compiled_executor(
         self,
@@ -406,8 +342,7 @@ class PlanEntry(_CacheEntry):
             return self._compiled
 
     def release(self) -> None:
-        """Tear down pooled resources (worker processes, shared memory,
-        compiled-executor workspace buffers).
+        """Drop the compiled executor's workspace buffers.
 
         Called on cache eviction/clear; idempotent and safe for entries
         that never built an executor.  The dlopen'd stage library itself
@@ -415,10 +350,7 @@ class PlanEntry(_CacheEntry):
         a few kilobytes); only the per-plan workspace is dropped here.
         """
         with self.lock:
-            ex, self._parallel = self._parallel, None
             self._compiled = None
-        if ex is not None:
-            ex.shutdown()
 
     def nbytes(self) -> int:
         n = self.fast.const_bytes + super().nbytes()
@@ -632,7 +564,7 @@ class PlanCache:
                 break  # never evict the sole (and only legal) resident
             key, entry = self._entries.popitem(last=False)
             self._owners.pop(key, None)
-            entry.release()  # tear down worker pools / shared memory
+            entry.release()  # drop compiled workspaces
             self.stats.evictions += 1
             self._bump("evictions")
             self._recount()
@@ -929,10 +861,10 @@ def _result_buffer(out, shape, dtype) -> np.ndarray:
 def _apply_epilogue(result: np.ndarray, epilogue) -> np.ndarray:
     """Apply a graph epilogue in place on a finished backend result.
 
-    Backends without an in-place output path (blocked/thread/process/
-    compiled) return a private heap array, so mutating it is safe; the
-    fused path instead applies the epilogue inside
-    :meth:`_FusedPlan.run` while the result buffer is cache-hot.  Either
+    Backends without an in-place output path (blocked/compiled) return
+    a private heap array, so mutating it is safe; the fused path
+    instead applies the epilogue inside :meth:`_FusedPlan.run` while
+    the result buffer is cache-hot.  Either
     way the epilogue runs exactly once per *successful* attempt -- a
     fallback reroute re-dispatches before any epilogue has been applied.
     """
@@ -976,12 +908,12 @@ class ConvolutionEngine:
         :func:`repro.core.tile_selection.select_tile_size`).
     backend:
         Default execution backend for :meth:`run`: ``"fused"`` (the
-        Kronecker fast path), ``"blocked"`` (the Table-1 pipeline),
-        ``"thread"`` (fork-join threads; GIL-bound, faithful to the
-        paper's schedule) or ``"process"`` (worker processes over
-        shared memory -- true parallelism).  Engines using the
-        parallel backends own pooled workers; call :meth:`close` (or
-        use the engine as a context manager) to release them.
+        Kronecker fast path), ``"blocked"`` (the Table-1 pipeline) or
+        ``"compiled"`` (generated C stage kernels; a request whose
+        codelets cannot be built reroutes to ``"fused"``, recorded in
+        the ``engine.fallbacks`` counters and as a ``fallback`` trace
+        event).  :meth:`close` (or using the engine as a context
+        manager) drops cached plans and their compiled workspaces.
     algorithm:
         Default convolution *algorithm* for :meth:`run`:
         ``"winograd"`` (every backend above), one of the portfolio
@@ -996,34 +928,14 @@ class ConvolutionEngine:
         on the first request for a new shape -- an explicit, bounded
         warm-up cost amortized over every later request.  Winograd-
         family probes run under the engine's own ``backend``, so a
-        process-backend engine's probes measure the process executor,
+        blocked-backend engine's probes measure the blocked executor,
         not the fused one.
-    n_workers:
-        Worker count for the thread/process backends (defaults to the
-        host core count).
-    worker_timeout:
-        Per-stage watchdog for the process backend's barriers; a dead
-        worker surfaces as ``WorkerCrashError`` within this bound.
     tracer, metrics:
         Observability hooks (:mod:`repro.obs`): a span tracer recording
-        per-request / per-stage / per-worker timings and a metrics
-        registry (plan-cache, arena, backend mix, latency percentiles,
-        live shm segments).  Engine-scoped by default; pass shared
-        instances to aggregate across engines.
-    fallback:
-        Enable the backend fallback chain (``process -> thread ->
-        blocked``): a request whose backend fails with a worker crash,
-        in-stage error or workspace corruption is rerouted down the
-        chain instead of failing, with the event recorded in metrics
-        and the trace.  The crashed process pool self-heals (respawns,
-        within ``respawn_budget``) for subsequent requests.
-    faults:
-        Armed :class:`~repro.obs.faults.FaultPlan` for fault-injection
-        testing; defaults to parsing the ``REPRO_FAULT`` environment
-        variable.
-    respawn_budget:
-        How many times a crashed process pool may be respawned per
-        cached executor before it is declared permanently broken.
+        per-request / per-stage timings and a metrics registry
+        (plan-cache, arena, backend mix, latency percentiles,
+        fallbacks).  Engine-scoped by default; pass shared instances to
+        aggregate across engines.
     """
 
     def __init__(
@@ -1041,13 +953,8 @@ class ConvolutionEngine:
         algorithm: str = "winograd",
         portfolio_probe: bool = True,
         probe_budget_seconds: float = 0.5,
-        n_workers: int | None = None,
-        worker_timeout: float = 60.0,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        fallback: bool = True,
-        faults: FaultPlan | None = None,
-        respawn_budget: int = 2,
     ):
         if stage2_mode not in ("fast", "traced"):
             raise ValueError(f"stage2_mode must be 'fast' or 'traced', got {stage2_mode!r}")
@@ -1059,8 +966,6 @@ class ConvolutionEngine:
             raise ValueError(
                 f"algorithm must be 'auto' or one of {ALGORITHMS}, got {algorithm!r}"
             )
-        if n_workers is not None and n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if machine is None:
             from repro.machine.profiles import DEFAULT_PROFILE, get_profile
 
@@ -1070,18 +975,11 @@ class ConvolutionEngine:
         self.backend = backend
         self.algorithm = algorithm
         self.profile = profile
-        self.n_workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
-        self.worker_timeout = worker_timeout
         self.machine = machine
         # Observability: tracer + metrics are engine-scoped (pass shared
-        # instances to aggregate across engines); the fault plan arms
-        # the injection seam -- by default it is read from REPRO_FAULT.
+        # instances to aggregate across engines).
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.metrics.gauge("shm.live_segments", live_segment_count)
-        self.fallback = fallback
-        self.faults = faults if faults is not None else FaultPlan.from_env()
-        self.respawn_budget = respawn_budget
         self.plans = PlanCache(
             max_plans=max_plans, max_bytes=max_cache_bytes, metrics=self.metrics
         )
@@ -1114,12 +1012,11 @@ class ConvolutionEngine:
         """Track in-flight requests so :meth:`close` cannot leak plans.
 
         A request that is mid-fallback when ``close()`` clears the plan
-        cache will happily repopulate it (``process -> thread`` builds a
-        fresh entry -- potentially with pooled workers and shared-memory
-        segments).  ``close()`` flags that situation instead of racing
-        it: the *last* in-flight request to drain performs a second,
-        idempotent cache clear, so nothing the closed-over requests
-        rebuilt survives them.  Regression-tested by
+        cache will happily repopulate it (``compiled -> fused`` builds a
+        fresh entry).  ``close()`` flags that situation instead of
+        racing it: the *last* in-flight request to drain performs a
+        second, idempotent cache clear, so nothing the closed-over
+        requests rebuilt survives them.  Regression-tested by
         ``tests/test_fault_injection.py``.
         """
         with self._lock:
@@ -1239,19 +1136,20 @@ class ConvolutionEngine:
         self, req, backend, spec, images, kernels, padding, dtype, blocking,
         out, tenant, epilogue,
     ) -> np.ndarray:
-        """The winograd step: :meth:`_dispatch` down the fallback chain."""
+        """The winograd step: :meth:`_dispatch` down the fallback chain,
+        with the result delivered in ``out`` when one is given."""
         while True:
             try:
-                return self._dispatch(
+                result = self._dispatch(
                     backend, spec, images, kernels, padding, dtype,
                     blocking, out, tenant=tenant, epilogue=epilogue,
                 )
+                break
             except FALLBACK_ERRORS as exc:
                 nxt = FALLBACK_NEXT.get(backend)
-                if nxt is None or not self.fallback:
+                if nxt is None:
                     raise
-                # Reroute this request down the chain; the process pool
-                # self-heals for the next one.
+                # Reroute this request down the chain.
                 self.metrics.counter("engine.fallbacks").inc()
                 self.metrics.counter(f"engine.fallbacks.{backend}_to_{nxt}").inc()
                 self.tracer.event(
@@ -1261,6 +1159,11 @@ class ConvolutionEngine:
                 req.attrs["fallback"] = f"{backend}->{nxt}"
                 backend = nxt
                 blocking = None  # re-resolve for the new backend
+        if out is not None and result is not out:
+            # Only the fused path writes into ``out`` itself.
+            np.copyto(_result_buffer(out, result.shape, dtype), result)
+            return out
+        return result
 
     def _run_prepared(
         self, req, algo, backend, images, kernels, padding, dtype, blocking,
@@ -1310,15 +1213,10 @@ class ConvolutionEngine:
                     nested.stack_input(images, out=buf)
                 padding = nested.inner_padding
                 spec = self._resolve_spec(None, buf.shape, prepared.shape, padding)
-                result = self._run_winograd(
+                return self._run_winograd(
                     req, backend, spec, buf, prepared, padding, dtype,
                     blocking, out, tenant, epilogue,
                 )
-        if out is not None and result is not out:
-            # Non-fused inner backends allocate their own output.
-            np.copyto(_result_buffer(out, result.shape, dtype), result)
-            result = out
-        return result
 
     # ------------------------------------------------------------------
     def run_many(
@@ -1342,9 +1240,9 @@ class ConvolutionEngine:
         leading batch dimensions may differ); they are stacked along the
         batch axis and executed through a single :meth:`run` call -- one
         plan-cache lookup, one kernel fingerprint, one arena lease, and
-        for the parallel backends one fork-join barrier round for the
-        whole batch instead of one per request.  The returned list holds
-        one output view per request, in order.
+        one executor call for the whole batch instead of one per
+        request.  The returned list holds one output view per request,
+        in order.
 
         ``pad_to`` zero-pads the stacked batch up to a fixed size before
         execution (the padded samples' outputs are discarded).  The
@@ -1447,10 +1345,10 @@ class ConvolutionEngine:
 
         The fused path's exact arena lease size, used by the serving
         front-end's per-tenant arena quotas as the admission estimate
-        for every backend (the parallel backends' shared-memory
-        footprint is the same pipeline tensors).  Resolving the plan
-        warms the same cache entry execution will use, so admission
-        control does not duplicate planning work.
+        for every backend (the blocked and compiled executors hold the
+        same pipeline tensors).  Resolving the plan warms the same cache
+        entry execution will use, so admission control does not
+        duplicate planning work.
         """
         input_shape = tuple(input_shape)
         ndim = len(input_shape) - 2
@@ -1484,7 +1382,7 @@ class ConvolutionEngine:
             blocking = blocking if blocking is not None else self._resolve_blocking(
                 spec, images.shape, kernels.shape[1], padding
             )
-        elif backend in ("thread", "process", "compiled"):
+        elif backend == "compiled":
             blocking = blocking if blocking is not None else self._parallel_blocking(
                 spec, images.shape, kernels.shape[1], padding
             )
@@ -1500,27 +1398,6 @@ class ConvolutionEngine:
         entry = self.plans.get_or_create(key, tenant=tenant)
         if backend == "blocked":
             return _apply_epilogue(self._run_blocked(entry, images, kernels), epilogue)
-        if backend in ("thread", "process"):
-            execu = entry.parallel_executor(
-                self.n_workers,
-                timeout=self.worker_timeout,
-                tracer=self.tracer,
-                metrics=self.metrics,
-                faults=self.faults,
-                respawn_budget=self.respawn_budget,
-            )
-            with self.tracer.span(f"execute.{backend}"):
-                if backend == "process":
-                    # Batched serving hits the same kernel tensor every
-                    # round; shipping its fingerprint lets the executor
-                    # skip the shared-memory kernel upload on a match.
-                    result = execu.execute(
-                        images, kernels,
-                        kernels_fingerprint=kernel_fingerprint(kernels),
-                    )
-                else:
-                    result = execu.execute(images, kernels)
-            return _apply_epilogue(result, epilogue)
         if backend == "compiled":
             execu = entry.compiled_executor(tracer=self.tracer, metrics=self.metrics)
             # Same FX memoization as the fused path: the (T, C, C')
@@ -1729,13 +1606,13 @@ class ConvolutionEngine:
         return blocking
 
     def _parallel_blocking(self, spec, input_shape, c_out, padding) -> BlockingConfig:
-        """Blocking for the thread/process backends (memoized).
+        """Blocking for the compiled backend (memoized).
 
-        Prefers a tuned wisdom entry when it satisfies the parallel
-        executors' divisibility constraints (``C``/``C'`` multiples of
+        Prefers a tuned wisdom entry when it satisfies the compiled
+        executor's divisibility constraints (``C``/``C'`` multiples of
         the SIMD group and of the channel blocks); otherwise falls back
         to correctness-first defaults sized by the channel counts --
-        autotuning is never triggered from the parallel hot path.
+        autotuning is never triggered from the compiled hot path.
         """
         c_in = input_shape[1]
         simd = parallel_simd_width(c_in, c_out)
@@ -1768,18 +1645,15 @@ class ConvolutionEngine:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release pooled resources held by cached plans.
+        """Drop every cached plan and the workspaces it holds.
 
-        Parallel-backend entries own worker processes/threads and named
-        shared-memory segments; dropping the plan cache shuts them all
-        down.  The engine stays usable afterwards -- plans simply
-        rebuild on the next call.
+        The engine stays usable afterwards -- plans simply rebuild on
+        the next call.
 
         Safe to call with requests in flight: a request mid-fallback
         repopulates the cache it was using, so the last such request to
         drain re-clears it (see :meth:`_request_guard`), guaranteeing no
-        worker pool or shared-memory segment outlives both the close and
-        the requests it raced.
+        plan entry outlives both the close and the requests it raced.
         """
         with self._lock:
             self._sweep_pending = self._inflight > 0
@@ -1816,8 +1690,6 @@ class ConvolutionEngine:
 
     def stats(self) -> dict[str, object]:
         """Cache + arena counters for reporting/monitoring."""
-        from repro.core.shm import shm_stats
-
         return {
             "plans": self.plans.stats.as_dict(),
             "cached_plans": len(self.plans),
@@ -1825,7 +1697,6 @@ class ConvolutionEngine:
             "wisdom_entries": len(self.wisdom),
             "algo_wisdom_entries": self.wisdom.algo_count,
             "algorithm_decisions": self.algorithm_decisions(),
-            "shm": shm_stats(),
             "metrics": self.metrics.snapshot(),
             "fallbacks": self.metrics.counter_value("engine.fallbacks"),
         }

@@ -15,10 +15,10 @@ JSON-lines protocol in :mod:`repro.serve.protocol`.  Concurrency model:
 * writes to a connection are serialized by a per-connection lock so
   interleaved task replies never corrupt the line framing.
 
-The engine's own fallback chain is live underneath: a worker crash
-mid-batch degrades the batch to the thread/blocked backend and every
-request in it still gets a correct reply (``tests/test_serve_load.py``
-injects kills to hold the server to that).
+The engine's own fallback chain is live underneath: a compiled-backend
+batch whose codelets cannot be built (no C toolchain, or a failed
+build) degrades to the fused backend, and every request in it still
+gets a correct reply.
 """
 
 from __future__ import annotations

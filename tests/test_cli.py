@@ -71,15 +71,15 @@ class TestCliServe:
         "--batch", "1", "--channels-divisor", "16", "--image-divisor", "4",
     ]
 
-    def test_serve_process_backend_stats_and_wisdom(self, capsys, tmp_path):
+    def test_serve_compiled_backend_stats_and_wisdom(self, capsys, tmp_path):
         import json
 
         wisdom = tmp_path / "wisdom.json"
         assert main(self.SERVE_ARGS + [
-            "--backend", "process", "--workers", "2", "--wisdom", str(wisdom),
+            "--backend", "compiled", "--wisdom", str(wisdom),
         ]) == 0
         out = capsys.readouterr().out
-        assert "backend           : process (2 workers)" in out
+        assert "backend           : compiled" in out
         # 3 requests on one layer signature: 1 plan-cache miss, 2 hits.
         assert "plan cache        : 2 hits / 1 misses" in out
         assert "sustained rate" in out
@@ -95,13 +95,6 @@ class TestCliServe:
         assert "backend           : fused" in out
         assert "plan cache        : 2 hits / 1 misses" in out
 
-    def test_serve_releases_shared_memory(self, capsys):
-        from repro.core.shm import active_segment_names
-
-        before = set(active_segment_names())
-        assert main(self.SERVE_ARGS + ["--backend", "process", "--workers", "2"]) == 0
-        assert set(active_segment_names()) == before
-
     def test_serve_stats_lines_and_snapshot(self, capsys):
         import json
         import re
@@ -113,7 +106,7 @@ class TestCliServe:
         assert len(lines) == 3
         pat = re.compile(
             r"\[stats\] req=(\d+) p50_ms=[\d.]+ p95_ms=[\d.]+ "
-            r"cache_hit_rate=[\d.]+ fallbacks=(\d+) shm_live=(\d+)"
+            r"cache_hit_rate=[\d.]+ fallbacks=(\d+)"
         )
         for i, line in enumerate(lines):
             m = pat.fullmatch(line)
@@ -204,12 +197,9 @@ class TestCliRun:
         "--channels-divisor", "16", "--image-divisor", "4",
     ]
 
-    @pytest.mark.parametrize("backend", ["fused", "blocked", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["fused", "blocked", "compiled"])
     def test_run_all_backends_check_against_oracle(self, capsys, backend):
-        args = self.RUN_ARGS + ["--backend", backend, "--check"]
-        if backend in ("thread", "process"):
-            args += ["--workers", "2"]
-        assert main(args) == 0
+        assert main(self.RUN_ARGS + ["--backend", backend, "--check"]) == 0
         out = capsys.readouterr().out
         assert f"backend  : {backend}" in out
         assert "max |err| vs direct reference" in out
@@ -227,17 +217,23 @@ class TestCliRun:
             assert stage in out
 
     def test_run_under_fault_reports_one_fallback(self, capsys, monkeypatch):
-        """The issue's acceptance scenario, via the env-var seam."""
-        monkeypatch.setenv("REPRO_FAULT", "kill-worker:1")
-        assert main(self.RUN_ARGS + [
-            "--backend", "process", "--workers", "2", "--check",
-        ]) == 0
+        """A codelet build failure on a host that has a toolchain: the
+        request reroutes compiled -> fused and the stats block names the
+        hop and the error."""
+        import repro.core.engine as engine_mod
+        from repro.core.compiled_backend import CodeletBuildError
+
+        def broken_build(*a, **k):
+            raise CodeletBuildError("injected build failure")
+
+        monkeypatch.setattr(engine_mod, "compiled_available", lambda: True)
+        monkeypatch.setattr(engine_mod, "CompiledWinogradExecutor", broken_build)
+        assert main(self.RUN_ARGS + ["--backend", "compiled", "--check"]) == 0
         out = capsys.readouterr().out
         assert "max |err| vs direct reference" in out  # oracle still passes
-        assert "fallbacks: 1 (process->thread on WorkerCrashError)" in out
+        assert "fallbacks: 1 (compiled->fused on CodeletBuildError)" in out
         # Per-stage timings for every stage that actually executed.
-        for stage in ("thread.stage1", "thread.stage1b",
-                      "thread.stage2", "thread.stage3"):
+        for stage in ("fused.stage1", "fused.stage2", "fused.stage3"):
             assert stage in out
 
     def test_run_trace_json_and_metrics_snapshot(self, capsys, tmp_path):
@@ -245,16 +241,15 @@ class TestCliRun:
 
         trace = tmp_path / "trace.json"
         assert main(self.RUN_ARGS + [
-            "--backend", "thread", "--workers", "2",
-            "--stats", "--trace-json", str(trace),
+            "--backend", "blocked", "--stats", "--trace-json", str(trace),
         ]) == 0
         out = capsys.readouterr().out
         snap = json.loads(out.split("--- metrics ---", 1)[1])
-        assert snap["counters"]["engine.requests.thread"] == 1
+        assert snap["counters"]["engine.requests.blocked"] == 1
         doc = json.loads(trace.read_text())
         assert doc["version"] == 1
         by_name = {s["name"]: s for s in doc["spans"]}
-        assert len(by_name["thread.stage2"]["attrs"]["worker_seconds"]) == 2
+        assert by_name["blocked.stage2"]["parent"] == by_name["execute.blocked"]["id"]
 
     def test_run_unknown_layer(self, capsys):
         assert main(["run", "--network", "VGG", "--layer", "9.9"]) == 2
@@ -305,9 +300,9 @@ class TestCliRunGraph:
         assert "fused_epilogues=0" in out
         assert "0 folded" in out
 
-    def test_run_graph_thread_backend(self, capsys):
+    def test_run_graph_compiled_backend(self, capsys):
         assert main(["run-graph", "--network", "classifier", "--backend",
-                     "thread", "--workers", "2", "--check"]) == 0
+                     "compiled", "--check"]) == 0
         out = capsys.readouterr().out
         assert "bitwise-vs-naive=True" in out
 

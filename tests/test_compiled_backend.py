@@ -33,7 +33,6 @@ from repro.core.convolution import WinogradPlan
 from repro.core.engine import ConvolutionEngine
 from repro.core.fmr import FmrSpec
 from repro.core.parallel_convolution import ParallelWinogradExecutor
-from repro.core.parallel_process import ProcessWinogradExecutor
 from repro.obs.metrics import MetricsRegistry
 
 needs_cc = pytest.mark.skipif(
@@ -143,7 +142,7 @@ def test_fx_path_matches_stage1b():
 def test_repeat_and_cross_executor_bitwise():
     """Same translation unit, fixed arithmetic order: repeated runs and
     every executor that slices the compiled stages (sequential, thread
-    pool, worker processes) must agree to the bit."""
+    pool) must agree to the bit."""
     plan = _plan()
     img, ker = _data(plan, seed=5)
     with CompiledWinogradExecutor(plan=plan, blocking=BLK, simd_width=8) as ex:
@@ -159,12 +158,6 @@ def test_repeat_and_cross_executor_bitwise():
     finally:
         thread.shutdown()
     np.testing.assert_array_equal(yt, y1)
-
-    with ProcessWinogradExecutor(
-        plan=plan, blocking=BLK, n_workers=2, simd_width=8, use_compiled=True
-    ) as proc:
-        yp = proc.execute(img, ker)
-    np.testing.assert_array_equal(yp, y1)
 
 
 @needs_cc

@@ -1,35 +1,33 @@
 """Differential harness: every executor agrees with every other.
 
-The repo now has seven ways to evaluate the same convolution:
+The repo has six ways to evaluate the same convolution:
 
 1. the sequential :class:`WinogradPlan` pipeline (the reference
    implementation of the paper's Table-1 algorithm),
 2. the blocked pipeline (packed layouts, block-K stage 2),
 3. the engine's fused Kronecker fast path,
-4. the thread-parallel executor (static GCD schedule on a fork-join
-   thread pool),
-5. the process-parallel executor (same schedule, worker processes over
-   shared memory),
-6. the compiled-C sequential executor (generated codelets, cffi), and
-7. the thread-parallel executor with compiled stage bodies
-   (6 and 7 join the matrix only on hosts with a C toolchain).
+4. the thread-parallel executor (the paper's §4.5 static GCD schedule
+   on a fork-join thread pool),
+5. the compiled-C sequential executor (generated codelets, cffi), and
+6. the thread-parallel executor with compiled stage bodies
+   (5 and 6 join the matrix only on hosts with a C toolchain).
 
 This matrix pins them to each other across dimensionality, odd edge
 tiles, anisotropic tiles and dtypes.  Two tolerance classes:
 
-* **bitwise** -- thread vs process, and sequential-compiled vs
-  thread-compiled: each pair runs the identical stage bodies (same
-  block-K loop, same per-element summation order), so their outputs
-  must be ``array_equal``, not merely close;
+* **bitwise** -- sequential-compiled vs thread-compiled: the pair runs
+  the identical stage bodies (same block-K loop, same per-element
+  summation order), so their outputs must be ``array_equal``, not
+  merely close;
 * **tight allclose** -- everything else: the executors associate the
   linear maps differently (Kronecker vs mode-n products, blocked vs
   flat K summation, FMA contraction in the generated C), which is the
   same math in a different rounding order.
 
-The ``slow``-marked fuzz test drives the process backend -- and the
-compiled executor, when a toolchain exists -- against the
-direct-convolution oracle on randomized shapes (hypothesis when
-available, seeded stdlib ``random`` otherwise).
+The ``slow``-marked fuzz test drives the compiled executor (skipped
+without a toolchain) against the direct-convolution oracle on
+randomized shapes (hypothesis when available, seeded stdlib ``random``
+otherwise).
 
 ``test_compiled_fallback_is_visible_and_correct`` masks the toolchain
 with ``CC=/bin/false`` and checks the engine degrades to the fused
@@ -53,7 +51,6 @@ from repro.core.convolution import WinogradPlan
 from repro.core.engine import ConvolutionEngine, parallel_simd_width
 from repro.core.fmr import FmrSpec
 from repro.core.parallel_convolution import ParallelWinogradExecutor
-from repro.core.parallel_process import ProcessWinogradExecutor
 from repro.nets.reference import direct_convolution
 from repro.obs.metrics import MetricsRegistry
 
@@ -89,7 +86,7 @@ def _all_executors(spec, img, ker, padding, dtype):
     """Run every executor, return {name: output}.
 
     The two compiled variants join only when the host can build
-    codelets; on toolchain-less hosts the matrix is the original five.
+    codelets; on toolchain-less hosts the matrix is the first four.
     """
     plan = WinogradPlan(
         spec=spec, input_shape=img.shape, c_out=ker.shape[1],
@@ -109,10 +106,6 @@ def _all_executors(spec, img, ker, padding, dtype):
         outs["thread"] = thread.execute(img, ker)
     finally:
         thread.shutdown()
-    with ProcessWinogradExecutor(
-        plan=plan, blocking=BLK, n_workers=2, simd_width=8
-    ) as proc:
-        outs["process"] = proc.execute(img, ker)
     if compiled_available():
         with CompiledWinogradExecutor(
             plan=plan, blocking=BLK, simd_width=8
@@ -153,10 +146,6 @@ def test_executor_matrix(spec, batch, channels, spatial, padding, dtype):
         )
 
     # Bitwise class: identical summation order.
-    np.testing.assert_array_equal(
-        outs["process"], outs["thread"],
-        err_msg="process and thread backends must agree bitwise",
-    )
     if "compiled" in outs:
         # One translation unit, fixed per-output arithmetic order: the
         # thread pool slicing the same C stages must not change a bit.
@@ -236,7 +225,7 @@ def test_compiled_fallback_is_visible_and_correct(monkeypatch):
 # block-K loops everywhere else -- and these tests pin it across all
 # backends and across randomly composed mixed-shape queues.
 # ----------------------------------------------------------------------
-ENGINE_BACKENDS = ("fused", "blocked", "thread", "process", "compiled")
+ENGINE_BACKENDS = ("fused", "blocked", "compiled")
 
 
 @pytest.mark.parametrize("backend", ENGINE_BACKENDS)
@@ -252,9 +241,9 @@ def test_run_many_bitwise_equals_run(backend):
         for b in (1, 2, 1, 1)
     ]
     kwargs = dict(fmr=spec, padding=(1, 1), dtype=np.float32, backend=backend)
-    if backend in ("blocked", "thread", "process", "compiled"):
+    if backend in ("blocked", "compiled"):
         kwargs["blocking"] = BLK
-    with ConvolutionEngine(n_workers=2) as engine:
+    with ConvolutionEngine() as engine:
         batched = engine.run_many(reqs, ker, pad_to=8, **kwargs)
         singles = [engine.run(im, ker, **kwargs) for im in reqs]
     for i, (one, many) in enumerate(zip(singles, batched)):
@@ -339,7 +328,7 @@ def test_fuzz_mixed_shape_queue_batching(seed):
 
 
 # ----------------------------------------------------------------------
-# Shape fuzzing: process backend vs the im2col-style direct oracle.
+# Shape fuzzing: compiled backend vs the im2col-style direct oracle.
 # ----------------------------------------------------------------------
 def _fuzz_one(ndim, m, channels, c_out, batch, size, pad):
     spec = FmrSpec(m=(m,) * ndim, r=(3,) * ndim)
@@ -357,10 +346,12 @@ def _fuzz_one(ndim, m, channels, c_out, batch, size, pad):
     blocking = BlockingConfig(
         n_blk=6, c_blk=channels, cprime_blk=c_out, simd_width=simd
     )
-    with ProcessWinogradExecutor(
-        plan=plan, blocking=blocking, n_workers=2, simd_width=simd
-    ) as proc:
-        y = proc.execute(img, ker)
+    # The generated C has its own edge cases (cropped tails, small S
+    # groups), so the fuzzer drives it against the oracle.
+    with CompiledWinogradExecutor(
+        plan=plan, blocking=blocking, simd_width=simd
+    ) as comp:
+        y = comp.execute(img, ker)
     ref = direct_convolution(
         img.astype(np.float64), ker.astype(np.float64), padding
     )
@@ -369,25 +360,19 @@ def _fuzz_one(ndim, m, channels, c_out, batch, size, pad):
                  f"I={spatial} P={padding}")
     np.testing.assert_allclose(
         y.astype(np.float64), ref, atol=5e-4 * scale, rtol=0,
-        err_msg=f"process backend vs oracle: {shape_msg}",
+        err_msg=f"compiled backend vs oracle: {shape_msg}",
     )
-    if compiled_available():
-        # Same shapes through the generated C: the codegen has its own
-        # edge cases (cropped tails, non-power-of-two S fallback), so
-        # the fuzzer drives it against the oracle too.
-        with CompiledWinogradExecutor(
-            plan=plan, blocking=blocking, simd_width=simd
-        ) as comp:
-            yc = comp.execute(img, ker)
-        np.testing.assert_allclose(
-            yc.astype(np.float64), ref, atol=5e-4 * scale, rtol=0,
-            err_msg=f"compiled backend vs oracle: {shape_msg}",
-        )
+
+
+needs_cc = pytest.mark.skipif(
+    not compiled_available(), reason="no C toolchain/cffi on this host"
+)
 
 
 if HAVE_HYPOTHESIS:
 
     @pytest.mark.slow
+    @needs_cc
     @settings(max_examples=25, deadline=None)
     @given(
         ndim=st.sampled_from([2, 3]),
@@ -398,7 +383,7 @@ if HAVE_HYPOTHESIS:
         size=st.integers(min_value=5, max_value=13),
         pad=st.integers(min_value=0, max_value=1),
     )
-    def test_fuzz_process_vs_oracle(ndim, m, channels, c_out, batch, size, pad):
+    def test_fuzz_compiled_vs_oracle(ndim, m, channels, c_out, batch, size, pad):
         if ndim == 3:  # keep 3-D volumes laptop-sized
             size = min(size, 7)
             channels = min(channels, 16)
@@ -407,8 +392,9 @@ if HAVE_HYPOTHESIS:
 else:  # pragma: no cover - exercised only without hypothesis
 
     @pytest.mark.slow
+    @needs_cc
     @pytest.mark.parametrize("seed", range(25))
-    def test_fuzz_process_vs_oracle(seed):
+    def test_fuzz_compiled_vs_oracle(seed):
         r = random.Random(1000 + seed)
         ndim = r.choice([2, 3])
         _fuzz_one(
@@ -465,7 +451,7 @@ def test_graph_execution_matrix(backend, network):
     if backend == "compiled" and not compiled_available():
         pytest.skip("no C toolchain")
     graph = graph_scaled_vgg() if network == "vgg" else residual_block()
-    with ConvolutionEngine(n_workers=2) as engine:
+    with ConvolutionEngine() as engine:
         _assert_graph_differential(engine, graph, backend)
 
 
@@ -485,8 +471,8 @@ def test_graph_fuzz_topologies_vs_oracle(seed):
 # ``algorithm="nested"`` reduces an r > 3 layer to ONE channel-stacked
 # r = 3 Winograd problem and hands it to whichever backend the request
 # names -- so per backend it inherits that backend's determinism class:
-# thread vs process stays bitwise, every backend stays allclose to the
-# float64 direct oracle, and the engine's nested dispatch is bitwise
+# every backend stays allclose to the float64 direct oracle, and the
+# engine's nested dispatch is bitwise
 # identical to manually stacking the input/kernels and running the
 # plain Winograd path (the decomposition adds no arithmetic of its
 # own, only data movement).
@@ -522,7 +508,7 @@ def test_nested_executor_matrix(batch, channels, spatial, padding, kernel):
 
     img, ker = _nested_data(batch, channels, spatial, kernel)
     outs = {}
-    with ConvolutionEngine(n_workers=2) as engine:
+    with ConvolutionEngine() as engine:
         for backend in ENGINE_BACKENDS:
             if backend == "compiled" and not compiled_available():
                 continue
@@ -554,10 +540,6 @@ def test_nested_executor_matrix(batch, channels, spatial, padding, kernel):
         )
 
     np.testing.assert_array_equal(
-        outs["process"], outs["thread"],
-        err_msg="nested: process and thread backends must agree bitwise",
-    )
-    np.testing.assert_array_equal(
         outs["fused"], manual,
         err_msg="nested dispatch != manual stack + plain Winograd",
     )
@@ -568,8 +550,8 @@ def test_nested_repeatable():
     arena-leased stacking buffer) changes no bits on any backend."""
     batch, channels, spatial, padding, kernel = NESTED_DIFF_CASES[1][1:]
     img, ker = _nested_data(batch, channels, spatial, kernel, seed=5)
-    with ConvolutionEngine(n_workers=2) as engine:
-        for backend in ("fused", "thread", "process"):
+    with ConvolutionEngine() as engine:
+        for backend in ENGINE_BACKENDS:
             first = engine.run(
                 img, ker, padding=padding, algorithm="nested", backend=backend
             )

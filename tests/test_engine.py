@@ -497,3 +497,19 @@ class TestRequestPath:
                 assert got.tobytes() == want.tobytes()
             assert engine.plans.stats.kernel_hits == 1
             assert engine.metrics.counter_value(f"engine.requests.{algo}") == 2
+
+    @pytest.mark.parametrize("algo", ["winograd", "nested"])
+    @pytest.mark.parametrize("backend", ["fused", "blocked", "compiled"])
+    def test_out_buffer_honoured_on_every_backend(self, backend, algo):
+        """``run(out=buf)`` returns ``buf`` itself, holding exactly the
+        bits of the ``out=None`` run, whichever backend computed it."""
+        r = 3 if algo == "winograd" else 5
+        img = RNG.standard_normal((1, 16, 12, 12)).astype(np.float32)
+        ker = RNG.standard_normal((16, 16, r, r)).astype(np.float32)
+        pad = (r // 2, r // 2)
+        with ConvolutionEngine(backend=backend) as engine:
+            want = engine.run(img, ker, padding=pad, algorithm=algo)
+            buf = np.full_like(want, np.nan)
+            got = engine.run(img, ker, padding=pad, algorithm=algo, out=buf)
+            assert got is buf
+            assert got.tobytes() == want.tobytes()

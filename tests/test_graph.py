@@ -6,9 +6,9 @@ placement on -- produces output **bitwise identical** to the naive
 node-at-a-time replay of the same plan, and allclose to a float64
 direct-convolution oracle.  Plus: topology validation raises structured
 errors, seeded random DAGs (fan-out, skips, diamonds) match the oracle,
-the fused path performs zero inter-layer copies, the process backend
-leaks no shared-memory segments (even when a worker is killed
-mid-graph), and the serve/CLI wiring round-trips.
+the fused path performs zero inter-layer copies, a codelet build
+failure mid-graph falls back to the fused result, and the serve/CLI
+wiring round-trips.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.graph import (
     toy_classifier,
 )
 from repro.nets.network import scaled_vgg
-from repro.obs.faults import FaultPlan
 from repro.serve import ServeClient
 from repro.serve.protocol import ProtocolError
 from repro.serve.server import ConvServer
@@ -239,12 +238,12 @@ class TestDifferential:
         with ConvolutionEngine(backend="fused") as eng:
             _assert_graph_faithful(eng, NETWORKS[network]())
 
-    @pytest.mark.parametrize("backend", ("blocked", "thread", "process", "compiled"))
+    @pytest.mark.parametrize("backend", ("blocked", "compiled"))
     @pytest.mark.parametrize("network", ("vgg", "residual"))
     def test_backend_matrix(self, backend, network):
         if backend == "compiled" and not compiled_available():
             pytest.skip("no C toolchain")
-        with ConvolutionEngine(n_workers=2) as eng:
+        with ConvolutionEngine() as eng:
             _assert_graph_faithful(eng, NETWORKS[network](), backend=backend)
 
     def test_classifier_head_ops(self):
@@ -275,7 +274,7 @@ class TestDifferential:
         with ConvolutionEngine() as eng:
             with pytest.raises(ValueError, match="winograd"):
                 plan_graph(residual_block(c=8, size=8), eng,
-                           backend="thread", algorithm="fft")
+                           backend="blocked", algorithm="fft")
 
     def test_graph_path_matches_sequential_forward_bitwise(self):
         """The importer + graph executor reproduce SequentialConvNet's
@@ -353,12 +352,12 @@ class TestFusionAndArena:
         assert all(p.writes_in_place for p in ex.plan.conv_plans)
 
     def test_non_inplace_backend_counts_copies(self):
-        """The thread backend returns private heap arrays; every conv
+        """The blocked backend returns private heap arrays; every conv
         whose activation feeds a later node costs one inter-layer copy
         -- the cost the fused path's counter proves it avoids."""
         g = graph_scaled_vgg()
-        with ConvolutionEngine(n_workers=2) as eng:
-            GraphExecutor(g, eng, backend="thread").run(_feeds(g))
+        with ConvolutionEngine() as eng:
+            GraphExecutor(g, eng, backend="blocked").run(_feeds(g))
             # conv1 and conv2 feed their pools; conv3's chain ends the graph.
             assert eng.metrics.counter_value("graph.interlayer_copies") == 2
 
@@ -394,30 +393,33 @@ class TestFusionAndArena:
     def test_epilogue_ops_constant(self):
         assert set(EPILOGUE_OPS) == {"relu", "batchnorm", "add", "mul"}
 
-    def test_process_backend_leaks_no_shm(self):
-        from repro.core.shm import active_segment_names
-
-        g = graph_scaled_c3d()
-        with ConvolutionEngine(n_workers=2) as eng:
-            _assert_graph_faithful(eng, g, backend="process")
-        assert not active_segment_names()
-
-    def test_worker_kill_mid_graph_falls_back_and_stays_clean(self):
-        """REPRO_FAULT kill-worker during a graph pass: the engine's
-        per-conv fallback chain absorbs the crash, the whole-graph
-        result stays correct, and no shm segment outlives the engine."""
-        from repro.core.shm import active_segment_names
+    def test_codelet_build_failure_mid_graph_falls_back(self, monkeypatch):
+        """A codelet build failure on every conv of a compiled-backend
+        graph pass: the engine's per-conv fallback chain reroutes each
+        one to fused, and the whole-graph result is bitwise the fused
+        graph's and correct against the oracle."""
+        import repro.core.engine as engine_mod
+        from repro.core.compiled_backend import CodeletBuildError
 
         g = graph_scaled_vgg()
         feeds = _feeds(g)
-        with ConvolutionEngine(
-            backend="process", n_workers=2, worker_timeout=20.0,
-            faults=FaultPlan.parse("kill-worker:1"),
-        ) as eng:
-            out = GraphExecutor(g, eng).run(feeds)
-            assert eng.metrics.counter_value("engine.fallbacks") == 1
+        with ConvolutionEngine(backend="fused") as eng:
+            want = GraphExecutor(g, eng).run(feeds)
+
+        def broken_build(*a, **k):
+            raise CodeletBuildError("injected build failure")
+
+        monkeypatch.setattr(engine_mod, "compiled_available", lambda: True)
+        monkeypatch.setattr(engine_mod, "CompiledWinogradExecutor", broken_build)
+        with ConvolutionEngine(backend="compiled") as eng:
+            ex = GraphExecutor(g, eng)
+            out = ex.run(feeds)
+            n_convs = len(ex.plan.conv_plans)
+            assert eng.metrics.counter_value("engine.fallbacks") == n_convs
             assert eng.metrics.counter_value(
-                "engine.fallbacks.process_to_thread") == 1
+                "engine.fallbacks.compiled_to_fused") == n_convs
+        for name in out:
+            np.testing.assert_array_equal(out[name], want[name])
         oracle = oracle_execute(g, feeds)
         for name in out:
             scale = max(float(np.abs(oracle[name]).max()), 1.0)
@@ -425,7 +427,6 @@ class TestFusionAndArena:
                 out[name].astype(np.float64), oracle[name],
                 atol=ORACLE_ATOL * scale, rtol=0,
             )
-        assert not active_segment_names()
 
 
 # ----------------------------------------------------------------------

@@ -263,7 +263,7 @@ class TestEngineAlgorithmDispatch:
             with pytest.raises(ValueError, match="winograd path"):
                 eng.run(images, kernels, algorithm="fft", blocking=blk)
             with pytest.raises(ValueError, match="winograd path"):
-                eng.run(images, kernels, algorithm="fft", backend="thread")
+                eng.run(images, kernels, algorithm="fft", backend="blocked")
 
     def test_auto_with_backend_knob_stays_winograd(self):
         layer = _layer(r=1, c_in=16, c_out=16, img=16)
@@ -511,22 +511,20 @@ class TestNestedPortfolio:
 
 
 class TestProbeBackend:
-    def test_process_engine_probes_under_process_backend(self):
-        # Regression: an "auto" engine pinned to the process backend
+    def test_engine_probes_under_blocked_backend(self):
+        # Regression: an "auto" engine pinned to the blocked backend
         # must probe the Winograd family under that backend -- a probe
         # measured on fused would misrank what serving actually pays.
         layer = _layer(r=7, c_in=16, c_out=16, img=16)
         images, kernels = _arrays(layer)
-        with ConvolutionEngine(
-            backend="process", algorithm="auto", n_workers=2
-        ) as eng:
+        with ConvolutionEngine(backend="blocked", algorithm="auto") as eng:
             eng.run(images, kernels, padding=layer.padding)
             (decision,) = eng.algorithm_decisions()
             assert decision["source"] == "probed"
             # The nested probe counts as a nested request; its inner
-            # r = 3 problem executed on the process backend.
+            # r = 3 problem executed on the blocked backend.
             assert eng.metrics.counter_value("engine.requests.nested") >= 1
-            assert eng.tracer.spans("execute.process")
+            assert eng.tracer.spans("execute.blocked")
 
 
 class TestProfileWisdomIsolation:
